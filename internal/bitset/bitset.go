@@ -161,11 +161,19 @@ func UnionCount(s, t *Set) int {
 }
 
 // IntersectCount returns |s ∩ t| without materialising the intersection.
-// The loop is 4-way unrolled: four independent popcount chains keep the
-// CPU's popcount unit busy instead of serialising on one accumulator.
-func IntersectCount(s, t *Set) int {
+func IntersectCount(s, t *Set) int { return IntersectCountIn(s, t, 0, len(s.words)) }
+
+// IntersectCountIn returns |s ∩ t| counted over the backing words [lo, hi)
+// only, i.e. over the elements [64·lo, 64·hi). It equals IntersectCount
+// whenever every nonzero word of s or of t lies inside the window — the
+// estimator passes a domain mask's WordSpan, so a per-point count reads
+// the point's few words instead of the whole universe. The loop is 4-way
+// unrolled: four independent popcount chains keep the CPU's popcount unit
+// busy instead of serialising on one accumulator.
+func IntersectCountIn(s, t *Set, lo, hi int) int {
 	s.sameUniverse(t)
-	sw, tw := s.words, t.words
+	sw := s.words[lo:hi]
+	tw := t.words[lo:hi]
 	var c0, c1, c2, c3 int
 	i := 0
 	for ; i+4 <= len(sw); i += 4 {
@@ -184,12 +192,19 @@ func IntersectCount(s, t *Set) int {
 // intermediate set — a single fused pass of popcount(a ∧ b ∧ ¬c) per word.
 // It is the kernel of the incremental quality estimators: the number of
 // entities a candidate signature a contributes to a domain mask b beyond an
-// already-unioned signature c. Like IntersectCount the pass is 4-way
-// unrolled with independent accumulators.
-func IntersectAndNotCount(a, b, c *Set) int {
+// already-unioned signature c.
+func IntersectAndNotCount(a, b, c *Set) int { return IntersectAndNotCountIn(a, b, c, 0, len(a.words)) }
+
+// IntersectAndNotCountIn is IntersectAndNotCount over the backing words
+// [lo, hi) only; it equals the full-width count whenever every nonzero word
+// of a or of b lies inside the window. Like IntersectCountIn the pass is
+// 4-way unrolled with independent accumulators.
+func IntersectAndNotCountIn(a, b, c *Set, lo, hi int) int {
 	a.sameUniverse(b)
 	a.sameUniverse(c)
-	aw, bw, cw := a.words, b.words, c.words
+	aw := a.words[lo:hi]
+	bw := b.words[lo:hi]
+	cw := c.words[lo:hi]
 	var n0, n1, n2, n3 int
 	i := 0
 	for ; i+4 <= len(aw); i += 4 {
@@ -202,6 +217,17 @@ func IntersectAndNotCount(a, b, c *Set) int {
 		n0 += bits.OnesCount64(aw[i] & bw[i] &^ cw[i])
 	}
 	return n0 + n1 + n2 + n3
+}
+
+// WordSpan returns the smallest window [lo, hi) of backing words outside
+// which every word is zero, the window to pass IntersectCountIn and
+// IntersectAndNotCountIn; it is (0, 0) for the empty set.
+func (s *Set) WordSpan() (lo, hi int) {
+	for hi = len(s.words); hi > 0 && s.words[hi-1] == 0; hi-- {
+	}
+	for lo = 0; lo < hi && s.words[lo] == 0; lo++ {
+	}
+	return lo, hi
 }
 
 // Words returns a copy of the set's 64-bit backing words, least-significant

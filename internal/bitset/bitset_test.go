@@ -353,3 +353,82 @@ func TestFromWordsWordCountMismatchPanics(t *testing.T) {
 	}()
 	FromWords(65, []uint64{0})
 }
+
+// maskIn returns a random set over n elements whose members all fall in
+// the element range [from, to) — a domain mask whose nonzero words form a
+// short window, as the estimator's per-point masks do.
+func maskIn(r *rand.Rand, n, from, to int) *Set {
+	s := New(n)
+	for i := from; i < to; i++ {
+		if r.Intn(3) == 0 {
+			s.Add(i)
+		}
+	}
+	return s
+}
+
+// TestQuickWindowedKernels: the windowed count kernels equal the
+// full-width ones for every window that contains all of the mask's nonzero
+// words — the mask's own WordSpan and any wider window — whatever the
+// other operands hold outside it.
+func TestQuickWindowedKernels(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := 1 + r.Intn(700)
+		from := r.Intn(n)
+		to := from + r.Intn(n-from+1)
+		mask := maskIn(r, n, from, to)
+		a, c := randSet(r, n), randSet(r, n)
+		lo, hi := mask.WordSpan()
+		if lo > hi || hi > len(mask.words) {
+			return false
+		}
+		for i, w := range mask.words {
+			if w != 0 && (i < lo || i >= hi) {
+				return false // a nonzero word outside the span
+			}
+		}
+		if mask.Any() && (mask.words[lo] == 0 || mask.words[hi-1] == 0) {
+			return false // the span is not the smallest
+		}
+		wantI := IntersectCount(a, mask)
+		wantN := IntersectAndNotCount(a, mask, c)
+		// The span itself, then random widenings up to the full width.
+		for k := 0; k < 4; k++ {
+			wlo, whi := lo, hi
+			if k > 0 {
+				wlo -= r.Intn(lo + 1)
+				whi += r.Intn(len(mask.words) - hi + 1)
+			}
+			if IntersectCountIn(a, mask, wlo, whi) != wantI || IntersectCountIn(mask, a, wlo, whi) != wantI {
+				return false
+			}
+			if IntersectAndNotCountIn(a, mask, c, wlo, whi) != wantN || IntersectAndNotCountIn(mask, a, c, wlo, whi) != wantN {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestWordSpan(t *testing.T) {
+	for _, tc := range []struct {
+		n      int
+		idx    []int
+		lo, hi int
+	}{
+		{0, nil, 0, 0},
+		{200, nil, 0, 0},
+		{200, []int{0}, 0, 1},
+		{200, []int{199}, 3, 4},
+		{200, []int{70, 130}, 1, 3},
+		{200, []int{63, 64}, 0, 2},
+	} {
+		if lo, hi := FromIndices(tc.n, tc.idx).WordSpan(); lo != tc.lo || hi != tc.hi {
+			t.Errorf("WordSpan(n=%d, %v) = [%d, %d), want [%d, %d)", tc.n, tc.idx, lo, hi, tc.lo, tc.hi)
+		}
+	}
+}

@@ -132,7 +132,62 @@ func BenchmarkQualityMultiAdd(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			x := 2*(i%10) + 1
-			e.QualityMultiAdd(st, x, ticks)
+			e.QualityMultiAddInto(st, x, ticks, nil)
 		}
 	})
+}
+
+// BenchmarkProbeBL measures the selection probe on freshd's default served
+// world (BL, scale 0.5: 43 sources, 1,224 points, 390 future ticks) rather
+// than the 2-point fixture above: one QualityMultiAddInto per op, cycling
+// over every candidate outside the base set, on a warm state. "empty"
+// probes against the empty set (the first greedy round), "set3" against a
+// three-source set; "t1" evaluates the last tick only, "t6" six spread
+// ticks. The warm probe must not allocate.
+func BenchmarkProbeBL(b *testing.B) {
+	_, e := blEstimator(b)
+	span := e.MaxT - e.T0
+	spread := func(n int) []timeline.Tick {
+		ts := make([]timeline.Tick, n)
+		for i := range ts {
+			ts[i] = e.T0 + span*timeline.Tick(i+1)/timeline.Tick(n)
+		}
+		return ts
+	}
+	for _, bc := range []struct {
+		name  string
+		set   []int
+		ticks []timeline.Tick
+	}{
+		{"empty/t1", nil, spread(1)},
+		{"set3/t1", []int{0, 7, 21}, spread(1)},
+		{"set3/t6", []int{0, 7, 21}, spread(6)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			st := e.NewSetState(bc.set)
+			member := make(map[int]bool)
+			for _, i := range bc.set {
+				member[i] = true
+			}
+			var xs []int
+			for x := 0; x < e.NumCandidates(); x++ {
+				if !member[x] {
+					xs = append(xs, x)
+				}
+			}
+			buf := make([]QualityEstimate, 0, len(bc.ticks))
+			probe := func(i int) { buf = e.QualityMultiAddInto(st, xs[i%len(xs)], bc.ticks, buf[:0]) }
+			probe(0) // warm the state's tick caches and the scratch pool
+			if !raceEnabled {
+				if avg := testing.AllocsPerRun(len(xs), func() { probe(1) }); avg != 0 {
+					b.Fatalf("warm probe allocates %v per op, want 0", avg)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				probe(i)
+			}
+		})
+	}
 }

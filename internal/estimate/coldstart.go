@@ -39,19 +39,8 @@ func (e *Estimator) AddColdStartCandidate(w *world.World, s *source.Source, k fl
 		return 0, fmt.Errorf("estimate: profiling cold-start source: %w", err)
 	}
 
-	covered := make(map[world.DomainPoint]bool, len(s.Spec().Points))
-	for _, p := range s.Spec().Points {
-		covered[p] = true
-	}
 	maxDelay := int(e.MaxT - e.T0 + 1)
-	c := &Candidate{
-		Profile:     prof,
-		SourceIndex: e.maxSourceIndex() + 1,
-		covers:      make([]bool, len(e.points)),
-	}
-	for j, p := range e.points {
-		c.covers[j] = covered[p]
-	}
+	c := e.candidateFromProfile(prof, s, e.maxSourceIndex()+1, maxDelay)
 
 	// Effective sample size: the exact (uncensored) delay observations. A
 	// newcomer mostly produces censored observations for entities it never
@@ -63,9 +52,9 @@ func (e *Estimator) AddColdStartCandidate(w *world.World, s *source.Source, k fl
 			n++
 		}
 	}
-	c.gi = blend(tabulate(prof.Gi, maxDelay), e.pooledTable(func(x *Candidate) []float64 { return x.gi }, maxDelay), n, k)
-	c.gd = blend(tabulate(prof.Gd, maxDelay), e.pooledTable(func(x *Candidate) []float64 { return x.gd }, maxDelay), n, k)
-	c.gu = blend(tabulate(prof.Gu, maxDelay), e.pooledTable(func(x *Candidate) []float64 { return x.gu }, maxDelay), n, k)
+	c.gi = blend(c.gi, e.pooledTable(func(x *Candidate) []float64 { return x.gi }, maxDelay), n, k)
+	c.gd = blend(c.gd, e.pooledTable(func(x *Candidate) []float64 { return x.gd }, maxDelay), n, k)
+	c.gu = blend(c.gu, e.pooledTable(func(x *Candidate) []float64 { return x.gu }, maxDelay), n, k)
 
 	// A newcomer with no usable coverage statistic inherits the fleet
 	// average for the Cov(S,τ) factor of Eq. 10–11.

@@ -29,6 +29,10 @@ type Candidate struct {
 	// covers flags which of the estimator's query points the source
 	// observes.
 	covers []bool
+	// touch lists, ascending, the query points whose estimate the candidate
+	// can change when it joins a set (see touchOf); a probe re-evaluates
+	// only these and reads the base set's cached values elsewhere.
+	touch []int32
 	// gi, gd and gu tabulate the effectiveness CDFs at integer delays
 	// 0 … maxDelay; variants of one source share the tables.
 	gi, gd, gu []float64
@@ -80,6 +84,10 @@ type Estimator struct {
 	models []*WorldModel
 	masks  []*bitset.Set
 	cands  []*Candidate
+	// maskWin[j] is masks[j]'s nonzero word window: every per-point count
+	// reads only those words (about two on the served BL world, against
+	// the 1,167 words of its entity universe).
+	maskWin []wordSpan
 
 	// Per-model lookup tables over the future window, indexed by dt = t−T0
 	// (survival) or τ−T0 (intensities): they keep the hot estimation loop
@@ -91,6 +99,9 @@ type Estimator struct {
 	// quality queries (parallel candidate sweeps) stay allocation-light.
 	scratch sync.Pool
 }
+
+// wordSpan is a half-open window [lo, hi) of bitset backing words.
+type wordSpan struct{ lo, hi int }
 
 // New builds an estimator for the query domain pts (nil = every point of
 // the world): it fits one world model per point and one profile per source,
@@ -161,7 +172,7 @@ func NewFit(ctx context.Context, w *world.World, srcs []*source.Source, t0, maxT
 	e.cands = make([]*Candidate, len(srcs))
 	errs := make([]error, len(srcs))
 	fitSweep(ctx, workers, len(srcs), func(i int) {
-		c, err := buildCandidate(w, srcs[i], i, t0, pts, maxDelay)
+		c, err := e.buildCandidate(w, srcs[i], i, maxDelay)
 		if err != nil {
 			errs[i] = err
 			return
@@ -224,6 +235,7 @@ func (e *Estimator) allocModelSlots() {
 	n := len(e.points)
 	e.models = make([]*WorldModel, n)
 	e.masks = make([]*bitset.Set, n)
+	e.maskWin = make([]wordSpan, n)
 	e.survDel = make([][]float64, n)
 	e.survUpd = make([][]float64, n)
 	e.lamIns = make([][]float64, n)
@@ -243,6 +255,8 @@ func (e *Estimator) setModel(j int, m *WorldModel, w *world.World) {
 		mask.Add(int(id))
 	}
 	e.masks[j] = mask
+	lo, hi := mask.WordSpan()
+	e.maskWin[j] = wordSpan{lo, hi}
 
 	span := int(e.MaxT-e.T0) + 1
 	sd := make([]float64, span)
@@ -266,31 +280,56 @@ func (e *Estimator) setModel(j int, m *WorldModel, w *world.World) {
 
 // buildCandidate profiles one source and tabulates its effectiveness
 // tables — the per-candidate unit of the fit pipeline.
-func buildCandidate(w *world.World, s *source.Source, i int, t0 timeline.Tick, pts []world.DomainPoint, maxDelay int) (*Candidate, error) {
-	prof, err := profile.Build(w, s, t0, pts)
+func (e *Estimator) buildCandidate(w *world.World, s *source.Source, i int, maxDelay int) (*Candidate, error) {
+	prof, err := profile.Build(w, s, e.T0, e.points)
 	if err != nil {
 		return nil, err
 	}
-	return candidateFromProfile(prof, s, i, pts, maxDelay), nil
+	return e.candidateFromProfile(prof, s, i, maxDelay), nil
 }
 
 // candidateFromProfile wraps a fitted profile into a Candidate: coverage
-// flags from the source spec plus the tabulated effectiveness tables. It is
-// shared by the cold fit pipeline and the incremental Accumulator, so both
-// derive candidates through identical code.
-func candidateFromProfile(prof *profile.Profile, s *source.Source, i int, pts []world.DomainPoint, maxDelay int) *Candidate {
+// flags from the source spec, the tabulated effectiveness tables and the
+// touch list. It is shared by the cold fit pipeline, the incremental
+// Accumulator and the cold-start path, so all derive candidates through
+// identical code. The point masks must already be installed (setModel).
+func (e *Estimator) candidateFromProfile(prof *profile.Profile, s *source.Source, i int, maxDelay int) *Candidate {
 	covered := make(map[world.DomainPoint]bool, len(s.Spec().Points))
 	for _, p := range s.Spec().Points {
 		covered[p] = true
 	}
-	c := &Candidate{Profile: prof, SourceIndex: i, covers: make([]bool, len(pts))}
-	for j, p := range pts {
+	c := &Candidate{Profile: prof, SourceIndex: i, covers: make([]bool, len(e.points))}
+	for j, p := range e.points {
 		c.covers[j] = covered[p]
 	}
 	c.gi = tabulate(prof.Gi, maxDelay)
 	c.gd = tabulate(prof.Gd, maxDelay)
 	c.gu = tabulate(prof.Gu, maxDelay)
+	c.touch = e.touchOf(c)
 	return c
+}
+
+// touchOf lists, ascending, the query points a candidate can change when it
+// joins a set: the points it covers (its effectiveness terms fold into the
+// point's miss products) and the points whose mask meets its B, Bcov or Bup
+// signature (it can add t0 content there). At every other point the
+// estimate of set ∪ {c} equals the set's own, which is what lets a probe
+// skip the point. Every path that creates a candidate derives the list
+// here; the list is never nil, so a candidate that missed this step is
+// caught by the probe instead of silently dropping points.
+func (e *Estimator) touchOf(c *Candidate) []int32 {
+	p := c.Profile
+	touch := make([]int32, 0, len(e.points))
+	for j, mask := range e.masks {
+		w := e.maskWin[j]
+		if c.covers[j] ||
+			bitset.IntersectCountIn(p.B, mask, w.lo, w.hi) > 0 ||
+			bitset.IntersectCountIn(p.Bcov, mask, w.lo, w.hi) > 0 ||
+			bitset.IntersectCountIn(p.Bup, mask, w.lo, w.hi) > 0 {
+			touch = append(touch, int32(j))
+		}
+	}
+	return touch[:len(touch):len(touch)]
 }
 
 // tabulate samples a Kaplan–Meier CDF at integer delays 0 … maxDelay with
@@ -342,9 +381,9 @@ func (e *Estimator) SetLinearOmega(on bool) {
 // number of candidates.
 //
 // Variants alias their base's tabulated effectiveness tables, coverage
-// flags and signature bitsets rather than recomputing them — the tables
-// describe the underlying source, not the acquisition schedule, so the
-// O(variants × maxDelay) re-tabulation would be pure waste (and the
+// flags, touch list and signature bitsets rather than recomputing them —
+// the tables describe the underlying source, not the acquisition schedule,
+// so the O(variants × maxDelay) re-tabulation would be pure waste (and the
 // persistent model cache leans on the same invariant: it stores only
 // divisor-1 candidates and re-derives variants on load). The aliasing is
 // pinned by TestFrequencyVariantsShareTables.
@@ -367,6 +406,7 @@ func (e *Estimator) AddFrequencyVariants(divisors []int) (int, error) {
 				Profile:     prof,
 				SourceIndex: c.SourceIndex,
 				covers:      c.covers,
+				touch:       c.touch,
 				gi:          c.gi,
 				gd:          c.gd,
 				gu:          c.gu,
@@ -423,7 +463,25 @@ func (e *Estimator) QualityMulti(set []int, ts []timeline.Tick) []QualityEstimat
 	scratch := e.getScratch()
 	out := make([]QualityEstimate, len(ts))
 	for k, t := range ts {
-		out[k] = e.qualityAt(t, st.covT0, st.upT0, st.sizeT0, st.covering, nil, nil, scratch)
+		dt0 := int(t - e.T0)
+		missIns, missDel, missUpd := scratch.ins[:dt0], scratch.del[:dt0], scratch.upd[:dt0]
+		var covered, up, size float64
+		for j := range e.points {
+			// Fold every covering candidate into the scratch miss buffers
+			// (Eq. 9–11), one pass per candidate, then run the recurrence.
+			for i := range missIns {
+				missIns[i], missDel[i], missUpd[i] = 1, 1, 1
+			}
+			for _, c := range st.covering[j] {
+				scratch.candTerms += e.candidateMiss(c, t, dt0, missIns, missDel, missUpd)
+			}
+			pc, pu, ps := e.pointAt(j, dt0, st.covT0[j], st.upT0[j], st.sizeT0[j], missIns, missDel, missUpd, nil)
+			covered += pc
+			up += pu
+			size += ps
+		}
+		scratch.steps += int64(dt0 * len(e.points))
+		out[k] = finishQuality(e.omegaAt(t), covered, up, size)
 	}
 
 	// Telemetry, batched: one set of counter adds per estimate call, so
@@ -450,13 +508,13 @@ func (e *Estimator) checkTicks(ts []timeline.Tick) {
 
 type missBuffers struct {
 	ins, del, upd []float64
-	// cnt backs the adjusted per-point t0 count triple of the incremental
-	// add path (3·|points| ints), so a probe borrows it from the pool
+	// cnt backs the probe's adjusted t0 count triples, one per touched
+	// point (at most 3·|points| ints), so a probe borrows it from the pool
 	// instead of allocating.
 	cnt []int
 	// steps counts Eq. 12–19 recurrence iterations and candTerms the
-	// per-covering-candidate effectiveness terms, accumulated across
-	// qualityAt calls and flushed to obs counters by QualityMulti.
+	// per-covering-candidate effectiveness terms, accumulated over one
+	// QualityMulti or probe call and flushed to obs counters at its end.
 	steps, candTerms int64
 }
 
@@ -481,8 +539,8 @@ func (e *Estimator) putScratch(b *missBuffers) { e.scratch.Put(b) }
 // candidateMiss folds one covering candidate's effectiveness into the miss
 // probabilities over occurrence indices 0 … dt0−1 (Eq. 9–11), returning the
 // number of per-candidate terms applied. Keeping this in one place
-// guarantees the incremental add path multiplies bit-identically to the
-// from-scratch path.
+// guarantees a SetState's cached products multiply bit-identically to the
+// from-scratch path's.
 func (e *Estimator) candidateMiss(c *Candidate, t timeline.Tick, dt0 int, missIns, missDel, missUpd []float64) int64 {
 	ts := c.Profile.TS(t)
 	if e.NoAlignment {
@@ -503,137 +561,123 @@ func (e *Estimator) candidateMiss(c *Candidate, t timeline.Tick, dt0 int, missIn
 	return int64(iMax + 1)
 }
 
-// qualityAt evaluates Equations 12–19 at one tick. covering[j] lists the
-// set's candidates that observe point j. base, when non-nil, supplies the
-// covering lists' pre-folded miss products for this tick, read in place
-// with extra's terms applied on the fly — the probe never copies or writes
-// a miss buffer. extra, when non-nil, is one more candidate layered on top
-// (the incremental add path) whose effectiveness terms apply after
-// covering[j]'s — the same order, and op for op the same float sequence, as
-// a from-scratch evaluation of the set with extra appended last; scratch
-// holds reusable buffers for the from-scratch path.
-func (e *Estimator) qualityAt(t timeline.Tick, covT0, upT0, sizeT0 []int, covering [][]*Candidate, base *tickMiss, extra *Candidate, scratch *missBuffers) QualityEstimate {
-	var omega, covered, up, size float64
-	dt0 := int(t - e.T0)
+// addTerms is one added candidate's effectiveness terms at one tick. The
+// alignment is per-tick, not per-point, so the probe hoists it out of its
+// point loop (mirrors candidateMiss: eff(τ) = tab[ts−τ] for τ ≤ ts, zero
+// beyond).
+type addTerms struct {
+	gi, gd, gu []float64
+	cv         float64
+	// iMax is the largest occurrence index i (τ = T0+1+i) the terms reach,
+	// −1 for none; d0 is ts−T0.
+	iMax, d0 int
+}
 
-	// The extra candidate's alignment is per-tick, not per-point: hoist it
-	// (mirrors candidateMiss — eff(τ) = tab[ts−τ] for τ ≤ ts, zero beyond).
-	var xgi, xgd, xgu []float64
-	var xcv float64
-	xiMax, xd0 := -1, 0
-	if extra != nil {
-		ts := extra.Profile.TS(t)
-		if e.NoAlignment {
-			ts = t
+// addTermsAt hoists candidate c's alignment at tick t.
+func (e *Estimator) addTermsAt(c *Candidate, t timeline.Tick) addTerms {
+	dt0 := int(t - e.T0)
+	ts := c.Profile.TS(t)
+	if e.NoAlignment {
+		ts = t
+	}
+	iMax := int(ts - e.T0 - 1) // largest i with τ = T0+1+i ≤ ts
+	if iMax >= dt0 {
+		iMax = dt0 - 1
+	}
+	if iMax < -1 {
+		iMax = -1
+	}
+	return addTerms{gi: c.gi, gd: c.gd, gu: c.gu, cv: c.Profile.CoverageT0, iMax: iMax, d0: int(ts - e.T0)}
+}
+
+// pointAt evaluates Equations 13, 15 and 19 at query point j and tick
+// T0+dt0, returning the point's shares of E[covered] (E[OldCov] + E[Ins]),
+// E[Up] and E[|F(SI)|] (clamped at 0). covT0, upT0 and sizeT0 are the
+// point's t0 counts; mIns, mDel and mUpd the miss-probability products of
+// its covering candidates over occurrence indices 0 … dt0−1. x, when
+// non-nil, is one more covering candidate whose terms multiply into the
+// products on the fly — reading them in place, never writing — after the
+// products' own terms: op for op the float sequence of a fold with x
+// appended last.
+//
+// It is the one place these sums are computed: the from-scratch
+// (QualityMulti), cached-state (SetState's tick cache) and add
+// (QualityMultiAddInto) paths all call it, so their arithmetic is
+// textually identical, which keeps the compiler's fused multiply-add
+// choices identical too.
+func (e *Estimator) pointAt(j, dt0, covT0, upT0, sizeT0 int, mIns, mDel, mUpd []float64, x *addTerms) (cov, up, size float64) {
+	survDel, survUpd := e.survDel[j], e.survUpd[j]
+	lamIns, lamDel, lamUpd := e.lamIns[j], e.lamDel[j], e.lamUpd[j]
+
+	// Eq. 13: surviving covered content from t0, and E[OldUp]: survived
+	// and unchanged.
+	oldCov := float64(covT0) * survDel[dt0]
+	oldUp := float64(upT0) * survDel[dt0] * survUpd[dt0]
+
+	var ins, del, insUp, exUp float64
+	// The loop splits at the last index x's terms reach (foldEnd) so each
+	// half stays branch-free.
+	foldEnd := -1
+	if x != nil {
+		foldEnd = x.iMax
+		for i := 0; i <= foldEnd; i++ {
+			d := x.d0 - 1 - i
+			mi := mIns[i] * (1 - x.gi[d])
+			md := mDel[i] * (1 - x.cv*x.gd[d])
+			mu := mUpd[i] * (1 - x.cv*x.gu[d])
+			dtau := dt0 - 1 - i // t − τ
+			sd, su := survDel[dtau], survUpd[dtau]
+			if e.Literal {
+				sd, su = survDel[dt0], survUpd[dt0]
+			}
+			prIns := 1 - mi
+			ins += lamIns[i+1] * survDel[dtau] * prIns
+			del += lamDel[i+1] * (1 - md)
+			insUp += lamIns[i+1] * sd * su * prIns
+			exUp += lamUpd[i+1] * sd * su * (1 - mu)
 		}
-		xiMax = int(ts - e.T0 - 1) // largest i with τ = T0+1+i ≤ ts
-		if xiMax >= dt0 {
-			xiMax = dt0 - 1
+	}
+	for i := foldEnd + 1; i < dt0; i++ {
+		dtau := dt0 - 1 - i // t − τ
+		sd, su := survDel[dtau], survUpd[dtau]
+		if e.Literal {
+			sd, su = survDel[dt0], survUpd[dt0]
 		}
-		xd0 = int(ts - e.T0)
-		xgi, xgd, xgu = extra.gi, extra.gd, extra.gu
-		xcv = extra.Profile.CoverageT0
+		prIns := 1 - mIns[i]
+		// Eq. 15, Eq. 19, and the E[InsUp]/E[ExUp] sums, with the
+		// time-varying λi(τ) (seasonal subdomains), λd(τ), λu(τ).
+		ins += lamIns[i+1] * survDel[dtau] * prIns
+		del += lamDel[i+1] * (1 - mDel[i])
+		insUp += lamIns[i+1] * sd * su * prIns
+		exUp += lamUpd[i+1] * sd * su * (1 - mUpd[i])
 	}
 
-	for j := range e.points {
-		m := e.models[j]
+	cov = oldCov + ins
+	up = oldUp + insUp + exUp
+	size = float64(sizeT0) + ins - del
+	if size < 0 {
+		size = 0
+	}
+	return cov, up, size
+}
+
+// omegaAt is E[|Ω|t] (Eq. 14) summed over the query points in index order;
+// it does not depend on the candidate set.
+func (e *Estimator) omegaAt(t timeline.Tick) float64 {
+	var omega float64
+	for _, m := range e.models {
 		if e.linearOmega {
 			omega += m.ExpectedOmegaLinear(t)
 		} else {
 			omega += m.ExpectedOmega(t)
 		}
-		survDel, survUpd := e.survDel[j], e.survUpd[j]
-		lamIns, lamDel, lamUpd := e.lamIns[j], e.lamDel[j], e.lamUpd[j]
-
-		// Eq. 13: surviving covered content from t0, and E[OldUp]:
-		// survived and unchanged.
-		oldCov := float64(covT0[j]) * survDel[dt0]
-		oldUp := float64(upT0[j]) * survDel[dt0] * survUpd[dt0]
-
-		var ins, del, insUp, exUp float64
-		if base != nil {
-			// Fused probe path: read the cached base products in place and
-			// multiply in extra's terms per element — no copy, no store. The
-			// loop splits at the last index extra's terms reach (foldEnd) so
-			// each half stays branch-free.
-			bIns, bDel, bUpd := base.ins[j], base.del[j], base.upd[j]
-			foldEnd := -1
-			if extra != nil && extra.covers[j] {
-				scratch.candTerms += int64(xiMax + 1)
-				if foldEnd = xiMax; foldEnd < -1 {
-					foldEnd = -1
-				}
-			}
-			for i := 0; i <= foldEnd; i++ {
-				d := xd0 - 1 - i
-				mi := bIns[i] * (1 - xgi[d])
-				md := bDel[i] * (1 - xcv*xgd[d])
-				mu := bUpd[i] * (1 - xcv*xgu[d])
-				dtau := dt0 - 1 - i // t − τ
-				sd, su := survDel[dtau], survUpd[dtau]
-				if e.Literal {
-					sd, su = survDel[dt0], survUpd[dt0]
-				}
-				prIns := 1 - mi
-				ins += lamIns[i+1] * survDel[dtau] * prIns
-				del += lamDel[i+1] * (1 - md)
-				insUp += lamIns[i+1] * sd * su * prIns
-				exUp += lamUpd[i+1] * sd * su * (1 - mu)
-			}
-			for i := foldEnd + 1; i < dt0; i++ {
-				dtau := dt0 - 1 - i
-				sd, su := survDel[dtau], survUpd[dtau]
-				if e.Literal {
-					sd, su = survDel[dt0], survUpd[dt0]
-				}
-				prIns := 1 - bIns[i]
-				ins += lamIns[i+1] * survDel[dtau] * prIns
-				del += lamDel[i+1] * (1 - bDel[i])
-				insUp += lamIns[i+1] * sd * su * prIns
-				exUp += lamUpd[i+1] * sd * su * (1 - bUpd[i])
-			}
-		} else {
-			// From-scratch path: fold every covering candidate into the
-			// scratch miss buffers (Eq. 9–11), one pass per candidate, then
-			// run the recurrence.
-			missIns := scratch.ins[:dt0]
-			missDel := scratch.del[:dt0]
-			missUpd := scratch.upd[:dt0]
-			for i := range missIns {
-				missIns[i], missDel[i], missUpd[i] = 1, 1, 1
-			}
-			for _, c := range covering[j] {
-				scratch.candTerms += e.candidateMiss(c, t, dt0, missIns, missDel, missUpd)
-			}
-			if extra != nil && extra.covers[j] {
-				scratch.candTerms += e.candidateMiss(extra, t, dt0, missIns, missDel, missUpd)
-			}
-			for i := 0; i < dt0; i++ {
-				dtau := dt0 - 1 - i // t − τ
-				sd, su := survDel[dtau], survUpd[dtau]
-				if e.Literal {
-					sd, su = survDel[dt0], survUpd[dt0]
-				}
-				prIns := 1 - missIns[i]
-				// Eq. 15, Eq. 19, and the E[InsUp]/E[ExUp] sums, with the
-				// time-varying λi(τ) (seasonal subdomains), λd(τ), λu(τ).
-				ins += lamIns[i+1] * survDel[dtau] * prIns
-				del += lamDel[i+1] * (1 - missDel[i])
-				insUp += lamIns[i+1] * sd * su * prIns
-				exUp += lamUpd[i+1] * sd * su * (1 - missUpd[i])
-			}
-		}
-		scratch.steps += int64(dt0)
-
-		covered += oldCov + ins
-		up += oldUp + insUp + exUp
-		sz := float64(sizeT0[j]) + ins - del
-		if sz < 0 {
-			sz = 0
-		}
-		size += sz
 	}
+	return omega
+}
 
+// finishQuality turns the point sums of one tick into the quality vector
+// (Eq. 12, 16, 17 and the accuracy combination).
+func finishQuality(omega, covered, up, size float64) QualityEstimate {
 	q := QualityEstimate{ExpectedOmega: omega, ExpectedSize: size, ExpectedUp: up, ExpectedCovered: covered}
 	if omega > 0 {
 		q.Coverage = clamp01(covered / omega)

@@ -212,6 +212,7 @@ func FromFitted(w *world.World, f *Fitted) (*Estimator, error) {
 		c.gi = tabulate(gi, maxDelay)
 		c.gd = tabulate(gd, maxDelay)
 		c.gu = tabulate(gu, maxDelay)
+		c.touch = e.touchOf(c)
 		e.cands[i] = c
 	}
 	e.compactTables()

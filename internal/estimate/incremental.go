@@ -186,7 +186,7 @@ func (a *Accumulator) Build(ctx context.Context) (*Estimator, error) {
 			errs[i] = err
 			return
 		}
-		e.cands[i] = candidateFromProfile(prof, a.srcs[i], i, a.pts, maxDelay)
+		e.cands[i] = e.candidateFromProfile(prof, a.srcs[i], i, maxDelay)
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("estimate: refit canceled: %w", err)

@@ -38,7 +38,7 @@ func TestQualityMultiAddBitIdentical(t *testing.T) {
 		}
 
 		st := e.NewSetState(set)
-		inc := e.QualityMultiAdd(st, x, ticks)
+		inc := e.QualityMultiAddInto(st, x, ticks, nil)
 		ref := e.QualityMulti(append(append([]int(nil), set...), x), ticks)
 		for k := range ticks {
 			if inc[k] != ref[k] {
@@ -57,7 +57,7 @@ func TestQualityMultiAddEmptyBase(t *testing.T) {
 	ticks := []timeline.Tick{320, 420}
 	st := e.NewSetState(nil)
 	for x := 0; x < e.NumCandidates(); x++ {
-		inc := e.QualityMultiAdd(st, x, ticks)
+		inc := e.QualityMultiAddInto(st, x, ticks, nil)
 		ref := e.QualityMulti([]int{x}, ticks)
 		for k := range ticks {
 			if inc[k] != ref[k] {
@@ -87,7 +87,7 @@ func TestSetStateConcurrentProbes(t *testing.T) {
 			wg.Add(1)
 			go func(x int) {
 				defer wg.Done()
-				got := e.QualityMultiAdd(st, x, ticks)
+				got := e.QualityMultiAddInto(st, x, ticks, nil)
 				for k := range ticks {
 					if got[k] != want[x][k] {
 						t.Errorf("concurrent probe x=%d tick %d mismatch", x, ticks[k])
@@ -100,9 +100,10 @@ func TestSetStateConcurrentProbes(t *testing.T) {
 	wg.Wait()
 }
 
-// TestQualityMultiAddIntoReuse: the Into variant must be bit-identical to
-// QualityMultiAdd, reuse the caller's buffer when capacity suffices, and —
-// once the state's per-tick miss tables are warm — allocate nothing. This
+// TestQualityMultiAddIntoReuse: a probe into a caller's buffer must be
+// bit-identical to an allocating probe (nil out), reuse the buffer when
+// capacity suffices, and — once the state's per-tick caches are warm —
+// allocate nothing. This
 // is the steady-state probe the selection sweeps issue, so zero here is
 // what keeps the whole CELF solve allocation-flat per round.
 func TestQualityMultiAddIntoReuse(t *testing.T) {
@@ -113,7 +114,7 @@ func TestQualityMultiAddIntoReuse(t *testing.T) {
 
 	buf := make([]QualityEstimate, 0, len(ticks))
 	got := e.QualityMultiAddInto(st, 1, ticks, buf)
-	ref := e.QualityMultiAdd(st, 1, ticks)
+	ref := e.QualityMultiAddInto(st, 1, ticks, nil)
 	for k := range ticks {
 		if got[k] != ref[k] {
 			t.Fatalf("tick %d: Into %+v != Add %+v", ticks[k], got[k], ref[k])
@@ -184,8 +185,8 @@ func TestSetStateReusableAcrossTicks(t *testing.T) {
 	e := buildEstimator(t, w)
 	st := e.NewSetState([]int{1, 2})
 	// The same state serves probes at different tick vectors.
-	a := e.QualityMultiAdd(st, 0, []timeline.Tick{310})
-	b := e.QualityMultiAdd(st, 0, []timeline.Tick{310, 440})
+	a := e.QualityMultiAddInto(st, 0, []timeline.Tick{310}, nil)
+	b := e.QualityMultiAddInto(st, 0, []timeline.Tick{310, 440}, nil)
 	if a[0] != b[0] {
 		t.Errorf("same tick through different vectors: %+v != %+v", a[0], b[0])
 	}

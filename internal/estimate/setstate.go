@@ -1,6 +1,7 @@
 package estimate
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"freshsource/internal/bitset"
@@ -16,14 +17,16 @@ import (
 //
 // Invariants:
 //
-//   - A SetState is immutable after construction and safe to share across
+//   - A SetState is immutable after construction (its per-tick cache is
+//     filled lazily through atomic publication) and safe to share across
 //     goroutines; parallel sweeps probe one state concurrently.
-//   - QualityMultiAdd(st, x, ts) requires x ∉ st's set; it layers x's
-//     contribution on top of the cached unions, which double-applies x's
-//     effectiveness terms if x is already a member.
-//   - The state belongs to the Estimator that built it and goes stale if
-//     SetLinearOmega toggles (t0 counts stay valid, but cached results
-//     should be re-derived for apples-to-apples comparisons).
+//   - QualityMultiAddInto(st, x, ts, out) requires x ∉ st's set; it layers
+//     x's contribution on top of the cached unions, which double-applies
+//     x's effectiveness terms if x is already a member.
+//   - The state belongs to the Estimator that built it. Its tick cache
+//     captures the estimator's modes (Literal, NoAlignment, SetLinearOmega)
+//     when each tick is first used, so set the modes before building
+//     states; a state used across a mode change mixes the two.
 type SetState struct {
 	e   *Estimator
 	set []int
@@ -40,50 +43,63 @@ type SetState struct {
 	// order — the multiplication order of the miss-probability products.
 	covering [][]*Candidate
 
-	// miss caches the base set's miss-probability products per tick, built
-	// lazily on first probe of each tick and indexed by dt = t−T0 (a flat
-	// slice, not a map: the steady-state probe does one atomic load per
-	// tick, no lock and no hashing). A probe then reads the arrays in place
-	// and applies only the added candidate's terms instead of refolding
-	// every covering candidate — the O(|set|·span) → O(span) step.
-	miss []atomic.Pointer[tickMiss]
+	// ticks caches the base set's per-tick evaluation, built lazily on
+	// first use of each tick and indexed by dt = t−T0 (a flat slice, not a
+	// map: the steady-state probe does one atomic load per tick, no lock
+	// and no hashing).
+	ticks []atomic.Pointer[tickMiss]
 }
 
-// tickMiss holds, for one tick, the per-point miss-probability products of
-// the base covering lists over occurrence indices 0 … dt0−1. The per-point
-// slices share one contiguous backing buffer (one allocation per tick,
-// sequential reads in the recurrence).
+// tickMiss is the base set's evaluation at one tick. ins, del and upd hold
+// the per-point miss-probability products of the covering lists over
+// occurrence indices 0 … dt0−1, sharing one contiguous backing buffer with
+// the shares below (one allocation per tick, sequential reads in the
+// recurrence): a probe reads them in place and applies only the added
+// candidate's terms instead of refolding every covering candidate — the
+// O(|set|·span) → O(span) step.
+// omega, cov, up and size hold what pointAt and omegaAt derive from them:
+// a probe re-evaluates only the points its candidate touches and reads
+// every other point's share here — the O(points) → O(touch) step.
 type tickMiss struct {
 	ins, del, upd [][]float64
+	// omega is the set-independent E[|Ω|t] sum.
+	omega float64
+	// cov, up and size are the per-point shares of E[covered], E[Up] and
+	// the clamped E[|F(SI)|].
+	cov, up, size []float64
 }
 
-// missAt returns the cached base miss products for tick t, building them on
+// tickAt returns the cached base evaluation for tick t, building it on
 // first use. Concurrent builders may race benignly; the first stored value
-// wins and all candidates compute identical arrays.
-func (st *SetState) missAt(t timeline.Tick) *tickMiss {
-	slot := &st.miss[int(t-st.e.T0)]
+// wins and all builders compute identical values.
+func (st *SetState) tickAt(t timeline.Tick) *tickMiss {
+	slot := &st.ticks[int(t-st.e.T0)]
 	if m := slot.Load(); m != nil {
 		return m
 	}
-	m := st.e.buildMiss(st.covering, t)
+	m := st.buildTick(t)
 	if !slot.CompareAndSwap(nil, m) {
 		m = slot.Load()
 	}
 	return m
 }
 
-// buildMiss folds the covering lists' effectiveness terms at one tick, in
-// covering order — exactly the prefix of the products qualityAt computes
-// from scratch.
-func (e *Estimator) buildMiss(covering [][]*Candidate, t timeline.Tick) *tickMiss {
+// buildTick folds the covering lists' effectiveness terms at one tick, in
+// covering order — exactly the products QualityMulti folds from scratch —
+// and evaluates every point from them through the shared pointAt.
+func (st *SetState) buildTick(t timeline.Tick) *tickMiss {
+	e := st.e
 	dt0 := int(t - e.T0)
 	nPts := len(e.points)
 	m := &tickMiss{
-		ins: make([][]float64, nPts),
-		del: make([][]float64, nPts),
-		upd: make([][]float64, nPts),
+		ins:   make([][]float64, nPts),
+		del:   make([][]float64, nPts),
+		upd:   make([][]float64, nPts),
+		omega: e.omegaAt(t),
 	}
-	buf := make([]float64, 3*nPts*dt0)
+	buf := make([]float64, 3*nPts*(1+dt0))
+	m.cov, m.up, m.size = buf[:nPts:nPts], buf[nPts:2*nPts:2*nPts], buf[2*nPts:3*nPts:3*nPts]
+	buf = buf[3*nPts:]
 	for i := range buf {
 		buf[i] = 1
 	}
@@ -92,12 +108,19 @@ func (e *Estimator) buildMiss(covering [][]*Candidate, t timeline.Tick) *tickMis
 		buf = buf[dt0:]
 		return s
 	}
+	var terms int64
 	for j := range e.points {
 		ins, del, upd := take(), take(), take()
-		for _, c := range covering[j] {
-			e.candidateMiss(c, t, dt0, ins, del, upd)
+		for _, c := range st.covering[j] {
+			terms += e.candidateMiss(c, t, dt0, ins, del, upd)
 		}
 		m.ins[j], m.del[j], m.upd[j] = ins, del, upd
+		m.cov[j], m.up[j], m.size[j] = e.pointAt(j, dt0, st.covT0[j], st.upT0[j], st.sizeT0[j], ins, del, upd, nil)
+	}
+	if obs.Enabled() {
+		obs.Counter("estimate.setstate.tick_builds").Add(1)
+		obs.Counter("estimate.recurrence.steps").Add(int64(dt0 * nPts))
+		obs.Counter("estimate.recurrence.cand_terms").Add(terms)
 	}
 	return m
 }
@@ -108,12 +131,12 @@ func (st *SetState) Set() []int { return st.set }
 
 // NewSetState builds the cached state of a candidate set. The work is the
 // same as the set-dependent prefix of QualityMulti: one signature union
-// pass plus 3·|points| intersect counts.
+// pass plus 3·|points| intersect counts, each over its point's mask window.
 func (e *Estimator) NewSetState(set []int) *SetState {
 	st := &SetState{
-		e:    e,
-		set:  append([]int(nil), set...),
-		miss: make([]atomic.Pointer[tickMiss], int(e.MaxT-e.T0)+1),
+		e:     e,
+		set:   append([]int(nil), set...),
+		ticks: make([]atomic.Pointer[tickMiss], int(e.MaxT-e.T0)+1),
 	}
 
 	// Union signatures over the set (deduplicating shared signatures is
@@ -136,10 +159,11 @@ func (e *Estimator) NewSetState(set []int) *SetState {
 	st.covT0, st.upT0, st.sizeT0 = counts[:nPts:nPts], counts[nPts:2*nPts:2*nPts], counts[2*nPts:]
 	st.covering = make([][]*Candidate, nPts)
 	if st.uB != nil {
-		for j := range e.points {
-			st.covT0[j] = bitset.IntersectCount(st.uCov, e.masks[j])
-			st.upT0[j] = bitset.IntersectCount(st.uUp, e.masks[j])
-			st.sizeT0[j] = bitset.IntersectCount(st.uB, e.masks[j])
+		for j, mask := range e.masks {
+			w := e.maskWin[j]
+			st.covT0[j] = bitset.IntersectCountIn(st.uCov, mask, w.lo, w.hi)
+			st.upT0[j] = bitset.IntersectCountIn(st.uUp, mask, w.lo, w.hi)
+			st.sizeT0[j] = bitset.IntersectCountIn(st.uB, mask, w.lo, w.hi)
 		}
 	}
 	for j := range e.points {
@@ -163,74 +187,80 @@ func (e *Estimator) NewSetState(set []int) *SetState {
 }
 
 // QualityMultiState estimates the quality of st's own set at the given
-// ticks from the cached state: the t0 counts and covering lists are reused
-// and each tick's miss products come from the state's lazily-built cache,
-// so re-evaluating one set across repeated or overlapping Tf vectors skips
-// the per-candidate effectiveness folds after their first use. The result
-// is bit-identical to QualityMulti(st.Set(), ts) — the cached products are
-// the same floats folded in the same covering order. This is the warm path
+// ticks from the cached state: each tick's per-point shares come from the
+// state's lazily built tick cache and are summed in point order, so
+// re-evaluating one set across repeated or overlapping Tf vectors runs no
+// recurrence after a tick's first use. The result is bit-identical to
+// QualityMulti(st.Set(), ts) — the cached shares are the same floats
+// pointAt computes there, summed in the same order. This is the warm path
 // of a serving registry keeping SetStates keyed by (set, Tf).
 func (e *Estimator) QualityMultiState(st *SetState, ts []timeline.Tick) []QualityEstimate {
 	sp := obs.Start("estimate.quality_state.seconds")
 	e.checkTicks(ts)
 
-	scratch := e.getScratch()
 	out := make([]QualityEstimate, len(ts))
 	for k, t := range ts {
-		out[k] = e.qualityAt(t, st.covT0, st.upT0, st.sizeT0, st.covering, st.missAt(t), nil, scratch)
+		base := st.tickAt(t)
+		var covered, up, size float64
+		for j := range base.cov {
+			covered += base.cov[j]
+			up += base.up[j]
+			size += base.size[j]
+		}
+		out[k] = finishQuality(base.omega, covered, up, size)
 	}
 
 	sp.End()
 	if obs.Enabled() {
 		obs.Counter("estimate.quality.state_calls").Add(1)
 		obs.Counter("estimate.quality.ticks").Add(int64(len(ts)))
-		obs.Counter("estimate.recurrence.steps").Add(scratch.steps)
-		obs.Counter("estimate.recurrence.cand_terms").Add(scratch.candTerms)
 	}
-	e.putScratch(scratch)
 	return out
 }
 
-// QualityMultiAdd estimates the quality of st's set ∪ {x} at the given
-// ticks without rebuilding the set's unions: candidate x's t0 contribution
-// per query point is a fused triple-popcount count(x ∧ mask ∧ ¬union) over
-// the cached union signatures, and its effectiveness terms layer after the
-// cached covering lists'. The result is bit-identical to
+// QualityMultiAddInto estimates the quality of st's set ∪ {x} at the given
+// ticks without rebuilding the set's unions, and writes the estimates into
+// out when it has capacity for len(ts) of them (allocating otherwise). It
+// returns the filled slice. The result is bit-identical to
 // QualityMulti(append(set, x), ts).
 //
+// Only the points on x's touch list can differ from the base set, so only
+// those are re-evaluated: x's t0 contribution per point is a fused
+// triple-popcount count(x ∧ mask ∧ ¬union) over the point's mask window,
+// and its effectiveness terms layer after the cached covering lists'.
+// Every other point's share is read from the state's tick cache, and all
+// shares are summed in point order — the order QualityMulti sums them in.
+//
 // x must not already be a member of st's set (see the SetState
-// invariants). Safe for concurrent calls sharing one state.
-func (e *Estimator) QualityMultiAdd(st *SetState, x int, ts []timeline.Tick) []QualityEstimate {
-	return e.QualityMultiAddInto(st, x, ts, nil)
-}
-
-// QualityMultiAddInto is QualityMultiAdd writing into out when it has
-// capacity for len(ts) estimates (allocating otherwise) — the zero-alloc
-// probe entry point: with a warmed state (every tick's miss products built)
-// and a reusable out buffer, the steady-state probe performs no heap
-// allocation at all. It returns the filled slice.
+// invariants). Safe for concurrent calls sharing one state. With a warmed
+// state (every tick's cache built) and a reusable out buffer, the probe
+// performs no heap allocation at all.
 func (e *Estimator) QualityMultiAddInto(st *SetState, x int, ts []timeline.Tick, out []QualityEstimate) []QualityEstimate {
 	sp := obs.Start("estimate.quality_add.seconds")
 	e.checkTicks(ts)
 	xc := e.cands[x]
 	xp := xc.Profile
+	touch := xc.touch
+	if touch == nil {
+		panic(fmt.Sprintf("estimate: candidate %d has no touch list", x))
+	}
 
 	scratch := e.getScratch()
 
-	// Adjusted t0 counts: cached count + what x adds beyond the union. The
-	// count buffers live in the pooled scratch, not a per-probe allocation.
-	nPts := len(e.points)
-	counts := scratch.cnt
-	covT0, upT0, sizeT0 := counts[:nPts:nPts], counts[nPts:2*nPts:2*nPts], counts[2*nPts:3*nPts]
-	for j := range e.points {
+	// Adjusted t0 counts at the touched points: cached count + what x adds
+	// beyond the union. The count buffer lives in the pooled scratch, not a
+	// per-probe allocation.
+	cnt := scratch.cnt[:3*len(touch)]
+	for k, j := range touch {
+		mask, w := e.masks[j], e.maskWin[j]
 		if st.uB == nil {
-			covT0[j] = bitset.IntersectCount(xp.Bcov, e.masks[j])
-			upT0[j] = bitset.IntersectCount(xp.Bup, e.masks[j])
-			sizeT0[j] = bitset.IntersectCount(xp.B, e.masks[j])
+			cnt[3*k] = bitset.IntersectCountIn(xp.Bcov, mask, w.lo, w.hi)
+			cnt[3*k+1] = bitset.IntersectCountIn(xp.Bup, mask, w.lo, w.hi)
+			cnt[3*k+2] = bitset.IntersectCountIn(xp.B, mask, w.lo, w.hi)
 		} else {
-			covT0[j] = st.covT0[j] + bitset.IntersectAndNotCount(xp.Bcov, e.masks[j], st.uCov)
-			upT0[j] = st.upT0[j] + bitset.IntersectAndNotCount(xp.Bup, e.masks[j], st.uUp)
-			sizeT0[j] = st.sizeT0[j] + bitset.IntersectAndNotCount(xp.B, e.masks[j], st.uB)
+			cnt[3*k] = st.covT0[j] + bitset.IntersectAndNotCountIn(xp.Bcov, mask, st.uCov, w.lo, w.hi)
+			cnt[3*k+1] = st.upT0[j] + bitset.IntersectAndNotCountIn(xp.Bup, mask, st.uUp, w.lo, w.hi)
+			cnt[3*k+2] = st.sizeT0[j] + bitset.IntersectAndNotCountIn(xp.B, mask, st.uB, w.lo, w.hi)
 		}
 	}
 
@@ -240,14 +270,36 @@ func (e *Estimator) QualityMultiAddInto(st *SetState, x int, ts []timeline.Tick,
 		out = make([]QualityEstimate, len(ts))
 	}
 	for k, t := range ts {
-		out[k] = e.qualityAt(t, covT0, upT0, sizeT0, st.covering, st.missAt(t), xc, scratch)
+		base := st.tickAt(t)
+		dt0 := int(t - e.T0)
+		terms := e.addTermsAt(xc, t)
+		var covered, up, size float64
+		next := 0 // position in touch of the next point to re-evaluate
+		for j := range base.cov {
+			pc, pu, ps := base.cov[j], base.up[j], base.size[j]
+			if next < len(touch) && int(touch[next]) == j {
+				var xt *addTerms
+				if xc.covers[j] {
+					xt = &terms
+					scratch.candTerms += int64(terms.iMax + 1)
+				}
+				pc, pu, ps = e.pointAt(j, dt0, cnt[3*next], cnt[3*next+1], cnt[3*next+2], base.ins[j], base.del[j], base.upd[j], xt)
+				next++
+			}
+			covered += pc
+			up += pu
+			size += ps
+		}
+		scratch.steps += int64(dt0 * len(touch))
+		out[k] = finishQuality(base.omega, covered, up, size)
 	}
 
 	sp.End()
 	if obs.Enabled() {
 		obs.Counter("estimate.quality.add_calls").Add(1)
 		obs.Counter("estimate.quality.ticks").Add(int64(len(ts)))
-		obs.Counter("estimate.signature.kernel_counts").Add(int64(3 * nPts))
+		obs.Counter("estimate.probe.points_touched").Add(int64(len(touch)))
+		obs.Counter("estimate.signature.kernel_counts").Add(int64(3 * len(touch)))
 		obs.Counter("estimate.recurrence.steps").Add(scratch.steps)
 		obs.Counter("estimate.recurrence.cand_terms").Add(scratch.candTerms)
 	}

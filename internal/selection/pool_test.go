@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -89,10 +90,10 @@ func TestSweepPoolCloseIdempotent(t *testing.T) {
 	p.close() // never started
 
 	p = newSweepPool(4)
-	n := 0
-	p.run(200, nil, func(i int) { n++ })
-	if n != 200 {
-		t.Fatalf("pool evaluated %d of 200 moves", n)
+	var n atomic.Int64 // the helpers evaluate concurrently
+	p.run(200, nil, func(i int) { n.Add(1) })
+	if got := n.Load(); got != 200 {
+		t.Fatalf("pool evaluated %d of 200 moves", got)
 	}
 	p.close()
 	p.close() // idempotent

@@ -187,7 +187,10 @@ func (req SelectRequest) withDefaults(defaultFuture int) SelectRequest {
 
 // resolveTicks turns a request's explicit Tf or future count into validated
 // ticks inside the evaluation window (T0, Horizon) of the generation's
-// snapshot.
+// snapshot. A future count may not exceed the window's horizon−1−T0 ticks:
+// SpreadTicks would repeat ticks down to T0 itself, and the count sizes an
+// allocation, so a small body must not buy an unbounded one. An omitted
+// count takes the configured default, capped at the window.
 func (s *Server) resolveTicks(d *dataset.Dataset, explicit []int64, future int) ([]timeline.Tick, error) {
 	if len(explicit) > 0 {
 		out := make([]timeline.Tick, len(explicit))
@@ -201,8 +204,13 @@ func (s *Server) resolveTicks(d *dataset.Dataset, explicit []int64, future int) 
 		}
 		return out, nil
 	}
+	span := int(d.Horizon() - 1 - d.T0)
 	if future <= 0 {
-		future = s.cfg.DefaultFuture
+		future = min(s.cfg.DefaultFuture, span)
+	}
+	if future > span {
+		return nil, fmt.Errorf("future %d exceeds the %d ticks of the evaluation window (%d, %d]",
+			future, span, d.T0, d.Horizon()-1)
 	}
 	return SpreadTicks(d.T0, d.Horizon(), future), nil
 }

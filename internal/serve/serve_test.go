@@ -285,6 +285,45 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestFutureBoundedByWindow: a `future` count larger than the evaluation
+// window (horizon−1−T0 ticks) is a 400 on both endpoints — it would spread
+// ticks down to T0 itself, and a huge count would size a huge allocation
+// from a tiny body — while a count equal to the window is served with every
+// tick inside it.
+func TestFutureBoundedByWindow(t *testing.T) {
+	d := testDataset(t)
+	srv := newServer(t, Config{})
+	span := int(d.Horizon() - 1 - d.T0)
+	for path, body := range map[string]string{
+		"/v1/select":  `{"future":%d}`,
+		"/v1/quality": `{"set":[0],"future":%d}`,
+	} {
+		for _, future := range []int{span + 1, 100000000} {
+			rec := postJSON(t, srv.Handler(), path, fmt.Sprintf(body, future))
+			if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "future") {
+				t.Errorf("%s future=%d: %d %s, want 400 naming future", path, future, rec.Code, rec.Body.String())
+			}
+		}
+	}
+
+	rec := postJSON(t, srv.Handler(), "/v1/quality", fmt.Sprintf(`{"set":[0],"future":%d}`, span))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("quality future=%d (the whole window): %d %s", span, rec.Code, rec.Body.String())
+	}
+	var q QualityResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &q); err != nil {
+		t.Fatal(err)
+	}
+	if len(q.Ticks) != span {
+		t.Fatalf("quality future=%d: %d ticks", span, len(q.Ticks))
+	}
+	for i, tk := range q.Ticks {
+		if tk <= int64(d.T0) || tk >= int64(d.Horizon()) || (i > 0 && tk <= q.Ticks[i-1]) {
+			t.Fatalf("quality future=%d: tick %d = %d not strictly increasing inside (%d, %d)", span, i, tk, d.T0, d.Horizon())
+		}
+	}
+}
+
 // TestInfoEndpoints covers /v1/sources, /healthz and /metrics.
 func TestInfoEndpoints(t *testing.T) {
 	d := testDataset(t)
