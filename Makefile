@@ -1,7 +1,7 @@
 GO ?= go
 
 # Packages whose concurrency matters enough to gate on the race detector.
-RACE_PKGS = ./internal/obs ./internal/selection ./internal/estimate ./internal/gain ./internal/bitset ./internal/serve ./internal/modelcache ./internal/faults ./internal/ingest
+RACE_PKGS = ./internal/obs ./internal/selection ./internal/estimate ./internal/gain ./internal/core ./internal/bitset ./internal/serve ./internal/modelcache ./internal/faults ./internal/ingest
 
 # Coverage floor (percent) enforced by `make cover` over ./internal/...
 COVER_FLOOR = 70

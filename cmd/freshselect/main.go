@@ -73,7 +73,10 @@ func main() {
 		}
 	}
 
-	ticks := serve.SpreadTicks(d.T0, d.Horizon(), *future)
+	ticks, err := serve.FutureTicks(d.T0, d.Horizon(), *future)
+	if err != nil {
+		fatal(err)
+	}
 	opt := core.TrainOptions{
 		MaxT:         ticks[len(ticks)-1],
 		FreqDivisors: divs,

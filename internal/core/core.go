@@ -345,13 +345,14 @@ func (p *Problem) SolveContext(ctx context.Context, alg Algorithm, opt SolveOpti
 		return nil, fmt.Errorf("core: %s: %w", alg, res.Err)
 	}
 
+	g, avgs := p.profit.Summary(res.Set, gain.Coverage, gain.Accuracy)
 	sel := &Selection{
 		Algorithm:   alg,
 		Set:         res.Set,
 		Profit:      res.Value,
-		Gain:        p.profit.GainOnly(res.Set),
-		AvgCoverage: p.profit.AvgMetric(res.Set, gain.Coverage),
-		AvgAccuracy: p.profit.AvgMetric(res.Set, gain.Accuracy),
+		Gain:        g,
+		AvgCoverage: avgs[0],
+		AvgAccuracy: avgs[1],
 		OracleCalls: res.OracleCalls,
 		Duration:    res.Duration,
 	}

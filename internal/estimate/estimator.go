@@ -508,6 +508,9 @@ func (e *Estimator) checkTicks(ts []timeline.Tick) {
 
 type missBuffers struct {
 	ins, del, upd []float64
+	// fi, fd and fu back a probe's added-candidate miss factors at one
+	// tick (see addTermsAt).
+	fi, fd, fu []float64
 	// cnt backs the probe's adjusted t0 count triples, one per touched
 	// point (at most 3·|points| ints), so a probe borrows it from the pool
 	// instead of allocating.
@@ -526,10 +529,14 @@ func (e *Estimator) getScratch() *missBuffers {
 		return b
 	}
 	span := int(e.MaxT - e.T0)
+	buf := make([]float64, 6*span)
 	return &missBuffers{
-		ins: make([]float64, span),
-		del: make([]float64, span),
-		upd: make([]float64, span),
+		ins: buf[:span:span],
+		del: buf[span : 2*span : 2*span],
+		upd: buf[2*span : 3*span : 3*span],
+		fi:  buf[3*span : 4*span : 4*span],
+		fd:  buf[4*span : 5*span : 5*span],
+		fu:  buf[5*span:],
 		cnt: make([]int, 3*len(e.points)),
 	}
 }
@@ -561,33 +568,45 @@ func (e *Estimator) candidateMiss(c *Candidate, t timeline.Tick, dt0 int, missIn
 	return int64(iMax + 1)
 }
 
-// addTerms is one added candidate's effectiveness terms at one tick. The
-// alignment is per-tick, not per-point, so the probe hoists it out of its
-// point loop (mirrors candidateMiss: eff(τ) = tab[ts−τ] for τ ≤ ts, zero
-// beyond).
+// addTerms is one added candidate's miss factors at one tick, over the
+// occurrence indices 0 … len(fi)−1 its effectiveness reaches: fi[i],
+// fd[i] and fu[i] are the factors candidateMiss would multiply into the
+// products at index i — the same floats, so a probe that multiplies them
+// in last reproduces a fold with the candidate appended, bit for bit.
 type addTerms struct {
-	gi, gd, gu []float64
-	cv         float64
-	// iMax is the largest occurrence index i (τ = T0+1+i) the terms reach,
-	// −1 for none; d0 is ts−T0.
-	iMax, d0 int
+	fi, fd, fu []float64
 }
 
-// addTermsAt hoists candidate c's alignment at tick t.
-func (e *Estimator) addTermsAt(c *Candidate, t timeline.Tick) addTerms {
+// addTermsAt writes candidate c's miss factors at tick t into the pooled
+// scratch, in occurrence order. The alignment, and so the factors, are
+// per-tick, not per-point: the probe derives them once per tick and every
+// touched point it covers reads them forward.
+func (e *Estimator) addTermsAt(c *Candidate, t timeline.Tick, scratch *missBuffers) addTerms {
 	dt0 := int(t - e.T0)
 	ts := c.Profile.TS(t)
 	if e.NoAlignment {
 		ts = t
 	}
-	iMax := int(ts - e.T0 - 1) // largest i with τ = T0+1+i ≤ ts
-	if iMax >= dt0 {
-		iMax = dt0 - 1
+	n := int(ts - e.T0) // occurrence indices reached: τ = T0+1+i ≤ ts
+	if n > dt0 {
+		n = dt0
 	}
-	if iMax < -1 {
-		iMax = -1
+	if n < 0 {
+		n = 0
 	}
-	return addTerms{gi: c.gi, gd: c.gd, gu: c.gu, cv: c.Profile.CoverageT0, iMax: iMax, d0: int(ts - e.T0)}
+	// eff(τ) = tab[ts−τ] for τ ≤ ts (mirrors candidateMiss); d runs from
+	// ts−T0−1 down.
+	fi, fd, fu := scratch.fi[:n], scratch.fd[:n], scratch.fu[:n]
+	gi, gd, gu := c.gi, c.gd, c.gu
+	cv := c.Profile.CoverageT0
+	d0 := int(ts-e.T0) - 1
+	for i := range fi {
+		d := d0 - i
+		fi[i] = 1 - gi[d]
+		fd[i] = 1 - cv*gd[d]
+		fu[i] = 1 - cv*gu[d]
+	}
+	return addTerms{fi: fi, fd: fd, fu: fu}
 }
 
 // pointAt evaluates Equations 13, 15 and 19 at query point j and tick
@@ -595,7 +614,7 @@ func (e *Estimator) addTermsAt(c *Candidate, t timeline.Tick) addTerms {
 // E[Up] and E[|F(SI)|] (clamped at 0). covT0, upT0 and sizeT0 are the
 // point's t0 counts; mIns, mDel and mUpd the miss-probability products of
 // its covering candidates over occurrence indices 0 … dt0−1. x, when
-// non-nil, is one more covering candidate whose terms multiply into the
+// non-nil, is one more covering candidate whose factors multiply into the
 // products on the fly — reading them in place, never writing — after the
 // products' own terms: op for op the float sequence of a fold with x
 // appended last.
@@ -607,49 +626,62 @@ func (e *Estimator) addTermsAt(c *Candidate, t timeline.Tick) addTerms {
 // choices identical too.
 func (e *Estimator) pointAt(j, dt0, covT0, upT0, sizeT0 int, mIns, mDel, mUpd []float64, x *addTerms) (cov, up, size float64) {
 	survDel, survUpd := e.survDel[j], e.survUpd[j]
-	lamIns, lamDel, lamUpd := e.lamIns[j], e.lamDel[j], e.lamUpd[j]
+	// λ(τ) is read at τ−T0 = i+1.
+	lamIns, lamDel, lamUpd := e.lamIns[j][1:dt0+1], e.lamDel[j][1:dt0+1], e.lamUpd[j][1:dt0+1]
+	mIns, mDel, mUpd = mIns[:dt0], mDel[:dt0], mUpd[:dt0]
 
 	// Eq. 13: surviving covered content from t0, and E[OldUp]: survived
 	// and unchanged.
 	oldCov := float64(covT0) * survDel[dt0]
 	oldUp := float64(upT0) * survDel[dt0] * survUpd[dt0]
 
-	var ins, del, insUp, exUp float64
-	// The loop splits at the last index x's terms reach (foldEnd) so each
-	// half stays branch-free.
-	foldEnd := -1
+	// Eq. 15, Eq. 19, and the E[InsUp]/E[ExUp] sums, with the time-varying
+	// λi(τ) (seasonal subdomains), λd(τ), λu(τ), over occurrence indices i
+	// (τ = T0+1+i, t−τ = dt0−1−i). The sums split at the last index x's
+	// factors reach, and the Literal mode's constant survival is hoisted,
+	// so every loop is branch-free; each keeps the one summation order. The
+	// float64 conversions round each product with x's factor before its
+	// use, as the stored products of a fold with x appended are rounded,
+	// so no fused multiply-add can skip that rounding.
+	var fi, fd, fu []float64
 	if x != nil {
-		foldEnd = x.iMax
-		for i := 0; i <= foldEnd; i++ {
-			d := x.d0 - 1 - i
-			mi := mIns[i] * (1 - x.gi[d])
-			md := mDel[i] * (1 - x.cv*x.gd[d])
-			mu := mUpd[i] * (1 - x.cv*x.gu[d])
-			dtau := dt0 - 1 - i // t − τ
-			sd, su := survDel[dtau], survUpd[dtau]
-			if e.Literal {
-				sd, su = survDel[dt0], survUpd[dt0]
-			}
-			prIns := 1 - mi
-			ins += lamIns[i+1] * survDel[dtau] * prIns
-			del += lamDel[i+1] * (1 - md)
-			insUp += lamIns[i+1] * sd * su * prIns
-			exUp += lamUpd[i+1] * sd * su * (1 - mu)
-		}
+		fi, fd, fu = x.fi, x.fd[:len(x.fi)], x.fu[:len(x.fi)]
 	}
-	for i := foldEnd + 1; i < dt0; i++ {
-		dtau := dt0 - 1 - i // t − τ
-		sd, su := survDel[dtau], survUpd[dtau]
-		if e.Literal {
-			sd, su = survDel[dt0], survUpd[dt0]
+	n := len(fi)
+	var ins, del, insUp, exUp float64
+	if e.Literal {
+		sd, su := survDel[dt0], survUpd[dt0]
+		for i, f := range fi {
+			prIns := 1 - float64(mIns[i]*f)
+			ins += lamIns[i] * survDel[dt0-1-i] * prIns
+			del += lamDel[i] * (1 - float64(mDel[i]*fd[i]))
+			insUp += lamIns[i] * sd * su * prIns
+			exUp += lamUpd[i] * sd * su * (1 - float64(mUpd[i]*fu[i]))
 		}
-		prIns := 1 - mIns[i]
-		// Eq. 15, Eq. 19, and the E[InsUp]/E[ExUp] sums, with the
-		// time-varying λi(τ) (seasonal subdomains), λd(τ), λu(τ).
-		ins += lamIns[i+1] * survDel[dtau] * prIns
-		del += lamDel[i+1] * (1 - mDel[i])
-		insUp += lamIns[i+1] * sd * su * prIns
-		exUp += lamUpd[i+1] * sd * su * (1 - mUpd[i])
+		for i := n; i < dt0; i++ {
+			prIns := 1 - mIns[i]
+			ins += lamIns[i] * survDel[dt0-1-i] * prIns
+			del += lamDel[i] * (1 - mDel[i])
+			insUp += lamIns[i] * sd * su * prIns
+			exUp += lamUpd[i] * sd * su * (1 - mUpd[i])
+		}
+	} else {
+		for i, f := range fi {
+			sd, su := survDel[dt0-1-i], survUpd[dt0-1-i]
+			prIns := 1 - float64(mIns[i]*f)
+			ins += lamIns[i] * sd * prIns
+			del += lamDel[i] * (1 - float64(mDel[i]*fd[i]))
+			insUp += lamIns[i] * sd * su * prIns
+			exUp += lamUpd[i] * sd * su * (1 - float64(mUpd[i]*fu[i]))
+		}
+		for i := n; i < dt0; i++ {
+			sd, su := survDel[dt0-1-i], survUpd[dt0-1-i]
+			prIns := 1 - mIns[i]
+			ins += lamIns[i] * sd * prIns
+			del += lamDel[i] * (1 - mDel[i])
+			insUp += lamIns[i] * sd * su * prIns
+			exUp += lamUpd[i] * sd * su * (1 - mUpd[i])
+		}
 	}
 
 	cov = oldCov + ins

@@ -41,6 +41,16 @@ const fitStride = 8
 // remaining slots untouched; callers must check ctx before reducing the
 // outputs.
 func fitSweep(ctx context.Context, w, m int, eval func(i int)) {
+	if min(w, m) > 1 && obs.Enabled() {
+		obs.Counter("estimate.fit.pool_batches").Inc()
+		obs.Counter("estimate.fit.pool_tasks").Add(int64(m))
+	}
+	deal(ctx, w, m, eval)
+}
+
+// deal is fitSweep without the pool counters; SetState.BuildTicks splits
+// tick builds with it.
+func deal(ctx context.Context, w, m int, eval func(i int)) {
 	if w > m {
 		w = m
 	}
@@ -52,10 +62,6 @@ func fitSweep(ctx context.Context, w, m int, eval func(i int)) {
 			eval(i)
 		}
 		return
-	}
-	if obs.Enabled() {
-		obs.Counter("estimate.fit.pool_batches").Inc()
-		obs.Counter("estimate.fit.pool_tasks").Add(int64(m))
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup

@@ -1,7 +1,9 @@
 package estimate
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"freshsource/internal/bitset"
@@ -71,23 +73,80 @@ type tickMiss struct {
 
 // tickAt returns the cached base evaluation for tick t, building it on
 // first use. Concurrent builders may race benignly; the first stored value
-// wins and all builders compute identical values.
+// wins and all builders compute identical values. BuildTicks prebuilds a
+// sweep's ticks so its probes never race here.
 func (st *SetState) tickAt(t timeline.Tick) *tickMiss {
 	slot := &st.ticks[int(t-st.e.T0)]
 	if m := slot.Load(); m != nil {
 		return m
 	}
-	m := st.buildTick(t)
-	if !slot.CompareAndSwap(nil, m) {
-		m = slot.Load()
-	}
-	return m
+	st.BuildTicks(context.Background(), []timeline.Tick{t}, 1)
+	return slot.Load()
 }
 
-// buildTick folds the covering lists' effectiveness terms at one tick, in
-// covering order — exactly the products QualityMulti folds from scratch —
-// and evaluates every point from them through the shared pointAt.
-func (st *SetState) buildTick(t timeline.Tick) *tickMiss {
+// BuildTicks builds the state's tick caches for every tick of ts not yet
+// built, splitting each tick's point loop across up to workers goroutines
+// (≤ 1 builds on the caller's goroutine), and reports whether they are all
+// built. A sweep's first probe runs it before reading ts: a probe that
+// finds its tick unbuilt builds the whole tick itself, so parallel first
+// probes would each build (and hold) a copy. Every point's values are
+// computed exactly as the sequential build computes them, so the caches,
+// and the estimate.recurrence.* and estimate.setstate.tick_builds counts,
+// are identical at any worker count. When ctx is canceled the build stops
+// between chunks of points and publishes none of the ticks it started, so
+// a later probe builds them lazily; it then returns false.
+func (st *SetState) BuildTicks(ctx context.Context, ts []timeline.Tick, workers int) bool {
+	e := st.e
+	e.checkTicks(ts)
+	type build struct {
+		t timeline.Tick
+		m *tickMiss
+	}
+	var todo []build
+	for _, t := range ts {
+		if st.ticks[int(t-e.T0)].Load() != nil || slices.ContainsFunc(todo, func(b build) bool { return b.t == t }) {
+			continue
+		}
+		todo = append(todo, build{t, st.newTick(t)})
+	}
+	if len(todo) == 0 {
+		return true
+	}
+	nPts := len(e.points)
+	// Each tick's points are dealt in chunks, a few per worker so uneven
+	// covering lists still balance.
+	chunk := max(1, nPts/(4*max(1, workers)))
+	perTick := (nPts + chunk - 1) / chunk
+	terms := make([]int64, len(todo)*perTick)
+	job := func(k int) {
+		b := todo[k/perTick]
+		lo := (k % perTick) * chunk
+		terms[k] = st.fillTick(b.m, b.t, lo, min(lo+chunk, nPts))
+	}
+	deal(ctx, workers, len(terms), job)
+	if ctx.Err() != nil {
+		return false
+	}
+	for i, b := range todo {
+		if obs.Enabled() {
+			var sum int64
+			for _, n := range terms[i*perTick : (i+1)*perTick] {
+				sum += n
+			}
+			obs.Counter("estimate.setstate.tick_builds").Add(1)
+			obs.Counter("estimate.recurrence.steps").Add(int64(int(b.t-e.T0) * nPts))
+			obs.Counter("estimate.recurrence.cand_terms").Add(sum)
+		}
+		// A concurrent builder may have published first; its values are
+		// the same.
+		st.ticks[int(b.t-e.T0)].CompareAndSwap(nil, b.m)
+	}
+	return true
+}
+
+// newTick allocates the base set's evaluation at tick t: the per-point
+// miss products (all ones) and shares, filled by fillTick.
+func (st *SetState) newTick(t timeline.Tick) *tickMiss {
 	e := st.e
 	dt0 := int(t - e.T0)
 	nPts := len(e.points)
@@ -103,26 +162,30 @@ func (st *SetState) buildTick(t timeline.Tick) *tickMiss {
 	for i := range buf {
 		buf[i] = 1
 	}
-	take := func() []float64 {
-		s := buf[:dt0:dt0]
-		buf = buf[dt0:]
-		return s
-	}
-	var terms int64
 	for j := range e.points {
-		ins, del, upd := take(), take(), take()
+		m.ins[j], m.del[j], m.upd[j] = buf[:dt0:dt0], buf[dt0:2*dt0:2*dt0], buf[2*dt0:3*dt0:3*dt0]
+		buf = buf[3*dt0:]
+	}
+	return m
+}
+
+// fillTick folds the covering lists' effectiveness terms at tick t for
+// points [lo, hi), in covering order — exactly the products QualityMulti
+// folds from scratch — and evaluates each point from them through the
+// shared pointAt. It returns the number of candidate terms folded. Points
+// own disjoint rows of m, so disjoint ranges may fill concurrently.
+func (st *SetState) fillTick(m *tickMiss, t timeline.Tick, lo, hi int) int64 {
+	e := st.e
+	dt0 := int(t - e.T0)
+	var terms int64
+	for j := lo; j < hi; j++ {
+		ins, del, upd := m.ins[j], m.del[j], m.upd[j]
 		for _, c := range st.covering[j] {
 			terms += e.candidateMiss(c, t, dt0, ins, del, upd)
 		}
-		m.ins[j], m.del[j], m.upd[j] = ins, del, upd
 		m.cov[j], m.up[j], m.size[j] = e.pointAt(j, dt0, st.covT0[j], st.upT0[j], st.sizeT0[j], ins, del, upd, nil)
 	}
-	if obs.Enabled() {
-		obs.Counter("estimate.setstate.tick_builds").Add(1)
-		obs.Counter("estimate.recurrence.steps").Add(int64(dt0 * nPts))
-		obs.Counter("estimate.recurrence.cand_terms").Add(terms)
-	}
-	return m
+	return terms
 }
 
 // Set returns the candidate set the state was built from (not a copy; do
@@ -272,7 +335,7 @@ func (e *Estimator) QualityMultiAddInto(st *SetState, x int, ts []timeline.Tick,
 	for k, t := range ts {
 		base := st.tickAt(t)
 		dt0 := int(t - e.T0)
-		terms := e.addTermsAt(xc, t)
+		terms := e.addTermsAt(xc, t, scratch)
 		var covered, up, size float64
 		next := 0 // position in touch of the next point to re-evaluate
 		for j := range base.cov {
@@ -281,7 +344,7 @@ func (e *Estimator) QualityMultiAddInto(st *SetState, x int, ts []timeline.Tick,
 				var xt *addTerms
 				if xc.covers[j] {
 					xt = &terms
-					scratch.candTerms += int64(terms.iMax + 1)
+					scratch.candTerms += int64(len(terms.fi))
 				}
 				pc, pu, ps = e.pointAt(j, dt0, cnt[3*next], cnt[3*next+1], cnt[3*next+2], base.ins[j], base.del[j], base.upd[j], xt)
 				next++

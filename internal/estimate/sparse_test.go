@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"freshsource/internal/dataset"
+	"freshsource/internal/obs"
 	"freshsource/internal/source"
 	"freshsource/internal/timeline"
 )
@@ -90,10 +91,32 @@ func addUncoveredSignatureCandidate(e *Estimator, base int) (int, int) {
 	return len(e.cands) - 1, uncovered
 }
 
+// addLaggingCandidate appends a copy of candidate base whose acquisition
+// schedule is re-anchored at lastUpdate with the given interval, so its
+// alignment TS(t) lags t: its effectiveness terms reach fewer occurrence
+// indices than the tick has (none once TS(t) ≤ T0). It returns the new
+// index.
+func addLaggingCandidate(e *Estimator, base int, lastUpdate timeline.Tick, interval float64) int {
+	b := e.cands[base]
+	p := *b.Profile
+	p.LastUpdate, p.UpdateInterval = lastUpdate, interval
+	e.cands = append(e.cands, &Candidate{
+		Profile:     &p,
+		SourceIndex: e.maxSourceIndex() + 1,
+		covers:      b.covers,
+		touch:       b.touch,
+		gi:          b.gi,
+		gd:          b.gd,
+		gu:          b.gu,
+	})
+	return len(e.cands) - 1
+}
+
 // TestSparseProbeBitIdenticalBL: on the served BL world, the point-sparse
 // probe and the cached-state evaluation reproduce the from-scratch
 // QualityMulti bit for bit — for every candidate (base, frequency variant,
-// cold start, and one whose signatures reach points it does not cover),
+// cold start, one whose signatures reach points it does not cover, one
+// whose alignment lags the tick and one whose terms reach no occurrence),
 // on the empty set and non-empty sets, at T0+1, a middle tick and MaxT,
 // under the default, Literal, NoAlignment and linear-Ω modes.
 func TestSparseProbeBitIdenticalBL(t *testing.T) {
@@ -110,13 +133,24 @@ func TestSparseProbeBitIdenticalBL(t *testing.T) {
 		t.Fatal("synthetic candidate touches no uncovered point; the case is vacuous")
 	}
 	ticks := []timeline.Tick{e.T0 + 1, e.T0 + (e.MaxT-e.T0)/2, e.MaxT}
+	lag := addLaggingCandidate(e, 2, e.T0, 50)
+	dead := addLaggingCandidate(e, 9, e.T0-5, 1e6)
+	for _, tk := range ticks[1:] {
+		if ts := e.cands[lag].Profile.TS(tk); ts <= e.T0 || ts >= tk {
+			t.Fatalf("lagging candidate aligns tick %d to %d; want a lag inside (T0, t)", tk, ts)
+		}
+	}
+	if ts := e.cands[dead].Profile.TS(e.MaxT); ts > e.T0 {
+		t.Fatalf("dead candidate aligns MaxT to %d, past T0", ts)
+	}
+	always := map[int]bool{cold: true, synth: true, lag: true, dead: true}
 	n := e.NumCandidates()
 
 	r := rand.New(rand.NewSource(5))
 	sets := [][]int{nil, {cold}, {3, 17, 40, synth}}
 	var random []int
 	for len(random) < 8 {
-		if x := r.Intn(n); x != cold && x != synth {
+		if x := r.Intn(n); !always[x] {
 			random = append(random, x)
 		}
 	}
@@ -137,8 +171,8 @@ func TestSparseProbeBitIdenticalBL(t *testing.T) {
 			// Each reference QualityMulti costs ~20 ms here, so every
 			// candidate is probed in the default mode against the empty
 			// set and one non-empty set, and a stride of them (plus the
-			// cold-start and synthetic ones) elsewhere; race-instrumented
-			// runs, ~10× slower, keep a wider stride.
+			// cold-start, synthetic and lagging ones) elsewhere;
+			// race-instrumented runs, ~10× slower, keep a wider stride.
 			stride := 7
 			if mi == 0 && (si == 0 || si == 2) {
 				stride = 1
@@ -155,7 +189,7 @@ func TestSparseProbeBitIdenticalBL(t *testing.T) {
 				member[i] = true
 			}
 			for x := 0; x < n; x++ {
-				if member[x] || (x%stride != 0 && x != cold && x != synth) {
+				if member[x] || (x%stride != 0 && !always[x]) {
 					continue
 				}
 				got := e.QualityMultiAddInto(st, x, ticks, nil)
@@ -325,4 +359,82 @@ func TestSparseProbeRaceFreshState(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestBuildTicksSplitMatchesSequential: BuildTicks splits each tick's point
+// loop across workers; every tick it builds must equal a sequential
+// from-scratch fold of each point (QualityMulti's loop) bit for bit, the
+// work it counts (tick builds, recurrence steps, candidate terms) must match
+// that fold's, and ticks already built — or listed twice — are not built
+// again.
+func TestBuildTicksSplitMatchesSequential(t *testing.T) {
+	_, e := blEstimator(t)
+	if !obs.Enabled() {
+		obs.Enable()
+		defer obs.Disable()
+	}
+	names := []string{"estimate.setstate.tick_builds", "estimate.recurrence.steps", "estimate.recurrence.cand_terms"}
+	counts := func() []int64 {
+		out := make([]int64, len(names))
+		for i, n := range names {
+			out[i] = obs.Counter(n).Value()
+		}
+		return out
+	}
+	set := []int{0, 7, 21, 30}
+	distinct := []timeline.Tick{e.T0 + 1, e.T0 + 97, e.MaxT}
+	ticks := append(distinct, e.T0+97)
+
+	// The reference: each point folded on its own, in covering order.
+	ref := e.NewSetState(set)
+	want := make([]int64, len(names))
+	type point struct {
+		ins, del, upd []float64
+		cov, up, size float64
+	}
+	refTicks := make([][]point, len(distinct))
+	for k, tk := range distinct {
+		dt0 := int(tk - e.T0)
+		want[0]++
+		want[1] += int64(dt0 * len(e.points))
+		for j := range e.points {
+			p := point{ins: make([]float64, dt0), del: make([]float64, dt0), upd: make([]float64, dt0)}
+			for i := 0; i < dt0; i++ {
+				p.ins[i], p.del[i], p.upd[i] = 1, 1, 1
+			}
+			for _, c := range ref.covering[j] {
+				want[2] += e.candidateMiss(c, tk, dt0, p.ins, p.del, p.upd)
+			}
+			p.cov, p.up, p.size = e.pointAt(j, dt0, ref.covT0[j], ref.upT0[j], ref.sizeT0[j], p.ins, p.del, p.upd, nil)
+			refTicks[k] = append(refTicks[k], p)
+		}
+	}
+
+	for _, workers := range []int{1, 2, 3, 16} {
+		st := e.NewSetState(set)
+		c0 := counts()
+		if !st.BuildTicks(context.Background(), ticks, workers) {
+			t.Fatalf("workers=%d: build reports not done", workers)
+		}
+		got := counts()
+		for i := range got {
+			got[i] -= c0[i]
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: counted %v, sequential fold %v (%v)", workers, got, want, names)
+		}
+		for k, tk := range distinct {
+			m := st.ticks[int(tk-e.T0)].Load()
+			for j, p := range refTicks[k] {
+				if !reflect.DeepEqual(p, point{m.ins[j], m.del[j], m.upd[j], m.cov[j], m.up[j], m.size[j]}) {
+					t.Fatalf("workers=%d tick %d point %d: split build differs from the sequential fold", workers, tk, j)
+				}
+			}
+		}
+		c0 = counts()
+		st.BuildTicks(context.Background(), ticks, workers)
+		if n := obs.Counter(names[0]).Value() - c0[0]; n != 0 {
+			t.Errorf("workers=%d: rebuilt %d ticks already built", workers, n)
+		}
+	}
 }

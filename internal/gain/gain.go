@@ -9,8 +9,10 @@
 package gain
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -381,22 +383,41 @@ func (p *Profit) profitOf(qs []estimate.QualityEstimate, cost float64) float64 {
 // ProfitState caches a set's estimation state and cost sum so that
 // single-candidate additions — the probe of every greedy-style sweep — are
 // evaluated incrementally. Build with BeginAdd, probe with ValueAdd; the
-// state is immutable and safe to share across concurrent probes.
+// state is safe to share across concurrent probes.
 type ProfitState struct {
 	st *estimate.SetState
 	// cost is the set's unscaled additive cost, accumulated in set order so
 	// the incremental sum is bit-identical to SetCost(append(set, x)).
 	cost float64
+
+	// The first probe builds st's tick caches for p.Ticks under ctx,
+	// spread across workers goroutines; concurrent first probes wait for
+	// it. built reports whether that build completed.
+	ctx     context.Context
+	workers int
+	once    sync.Once
+	built   bool
 }
 
 // BeginAdd caches the evaluation state of set for subsequent ValueAdd
 // probes. It performs no oracle evaluation and is not counted as one.
 func (p *Profit) BeginAdd(set []int) any {
+	return p.BeginAddWorkers(context.Background(), set, 1)
+}
+
+// BeginAddWorkers is BeginAdd whose first probe builds the set's tick
+// caches for p.Ticks with each tick's point loop split across up to
+// workers goroutines — the run's sweep workers, which would otherwise wait
+// on that probe or build copies of the same caches. The values are
+// identical at any worker count. Once ctx is canceled the build stops and
+// ValueAdd returns NaN: a canceled run discards its sweep's values. A set
+// no probe reaches builds nothing.
+func (p *Profit) BeginAddWorkers(ctx context.Context, set []int, workers int) any {
 	var cost float64
 	if p.Cost != nil {
 		cost = p.Cost.SetCost(set)
 	}
-	return &ProfitState{st: p.Est.NewSetState(set), cost: cost}
+	return &ProfitState{st: p.Est.NewSetState(set), cost: cost, ctx: ctx, workers: workers}
 }
 
 // ValueAdd returns Value(set ∪ {x}) for the state's set, layering x's
@@ -407,6 +428,10 @@ func (p *Profit) ValueAdd(state any, x int) float64 {
 	st := state.(*ProfitState)
 	p.calls.Add(1)
 	obs.Counter("gain.profit.value_add_calls").Inc()
+	st.once.Do(func() { st.built = st.st.BuildTicks(st.ctx, p.Ticks, st.workers) })
+	if !st.built {
+		return math.NaN()
+	}
 	bp, _ := p.probeBuf.Get().(*[]estimate.QualityEstimate)
 	if bp == nil {
 		bp = new([]estimate.QualityEstimate)
@@ -422,21 +447,19 @@ func (p *Profit) ValueAdd(state any, x int) float64 {
 	return v
 }
 
-// GainOnly returns the average rescaled gain of a set (no cost), used for
-// reporting solution quality.
-func (p *Profit) GainOnly(set []int) float64 {
-	return p.gainOf(p.Est.QualityMulti(set, p.Ticks))
-}
-
-// AvgMetric returns the average value of a quality metric over Tf for the
-// set — the "Avg. Qual." columns of Tables 4–6.
-func (p *Profit) AvgMetric(set []int, m Metric) float64 {
+// Summary reports a set's solution quality from one quality evaluation:
+// its average rescaled gain over Tf (no cost), and the average value over
+// Tf of each metric in ms — the "Avg. Qual." columns of Tables 4–6.
+func (p *Profit) Summary(set []int, ms ...Metric) (float64, []float64) {
 	qs := p.Est.QualityMulti(set, p.Ticks)
-	var v float64
-	for _, q := range qs {
-		v += m.Of(q)
+	avgs := make([]float64, len(ms))
+	for i, m := range ms {
+		for _, q := range qs {
+			avgs[i] += m.Of(q)
+		}
+		avgs[i] /= float64(len(qs))
 	}
-	return v / float64(len(qs))
+	return p.gainOf(qs), avgs
 }
 
 // Feasible reports whether the set respects the budget.

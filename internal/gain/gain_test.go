@@ -208,12 +208,13 @@ func TestProfitOracle(t *testing.T) {
 	if p.Calls() != 0 {
 		t.Error("reset failed")
 	}
-	// GainOnly ≥ profit (cost is non-negative).
-	if p.GainOnly([]int{0}) < v1 {
+	// The gain alone ≥ profit (cost is non-negative), and the average
+	// coverage lies in [0,1].
+	g, avgs := p.Summary([]int{0}, Coverage)
+	if g < v1 {
 		t.Error("gain-only below profit")
 	}
-	// AvgMetric in [0,1].
-	if m := p.AvgMetric([]int{0}, Coverage); m <= 0 || m > 1 {
+	if m := avgs[0]; m <= 0 || m > 1 {
 		t.Errorf("avg coverage = %v", m)
 	}
 }
@@ -254,7 +255,7 @@ func TestProfitNilCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Value([]int{0}) != p.GainOnly([]int{0}) {
+	if g, _ := p.Summary([]int{0}); p.Value([]int{0}) != g {
 		t.Error("nil cost model should make profit equal gain")
 	}
 	if !p.Feasible([]int{0, 1, 2}) {

@@ -60,8 +60,8 @@ func TestWeightedAggregate(t *testing.T) {
 		t.Errorf("degenerate weighting %v != single-tick profit %v", wOnly, got)
 	}
 
-	// GainOnly respects weights too.
-	if p.GainOnly(set) < wOnly {
+	// The reported gain respects weights too.
+	if g, _ := p.Summary(set); g < wOnly {
 		t.Error("gain-only below profit under weighting")
 	}
 }

@@ -1,6 +1,7 @@
 package selection
 
 import (
+	"context"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -197,6 +198,13 @@ type cachedAddState struct {
 // an incremental inner oracle the memoized add-probe path pays off, since
 // repeated sweeps probe the same supersets.
 func (c *CachedOracle) BeginAdd(set []int) any {
+	return c.BeginAddWorkers(context.Background(), set, 1)
+}
+
+// BeginAddWorkers implements WorkersBeginner, passing the context and
+// worker count to the inner oracle's state, whose caches only a memo miss
+// then fills.
+func (c *CachedOracle) BeginAddWorkers(ctx context.Context, set []int, workers int) any {
 	st := &cachedAddState{set: append([]int(nil), set...), hash: setHash(set)}
 	st.sorted = make([]int32, len(set))
 	for i, x := range set {
@@ -204,7 +212,7 @@ func (c *CachedOracle) BeginAdd(set []int) any {
 	}
 	slices.Sort(st.sorted)
 	if io, ok := c.inner.(IncrementalOracle); ok {
-		st.inner = io.BeginAdd(set)
+		st.inner = beginAddOn(ctx, io, set, workers)
 	}
 	return st
 }

@@ -1,6 +1,7 @@
 package selection
 
 import (
+	"context"
 	"sync/atomic"
 	"time"
 
@@ -71,14 +72,37 @@ type IncrementalOracle interface {
 	ValueAdd(state any, x int) float64
 }
 
+// WorkersBeginner is an IncrementalOracle whose add-probe state can build
+// its caches across the run's workers: BeginAddWorkers returns the state
+// BeginAdd does, but the work its first probe does to fill the state's
+// caches is spread across up to workers goroutines and stops once ctx is
+// canceled (probes of a canceled state may return any value). Algorithms
+// pass their run's worker count (the Parallel option) and context;
+// gain.Profit splits its tick-cache builds this way.
+type WorkersBeginner interface {
+	BeginAddWorkers(ctx context.Context, set []int, workers int) any
+}
+
+// beginAddOn builds io's add-probe state for set with the given context
+// and worker count, through BeginAddWorkers when io implements it.
+func beginAddOn(ctx context.Context, io IncrementalOracle, set []int, workers int) any {
+	if wb, ok := io.(WorkersBeginner); ok {
+		if ctx == nil {
+			ctx = context.Background()
+		}
+		return wb.BeginAddWorkers(ctx, set, workers)
+	}
+	return io.BeginAdd(set)
+}
+
 // tryBeginAdd returns add-probe state for set when the wrapped oracle
 // supports incremental evaluation.
-func (c *CountingOracle) tryBeginAdd(set []int) (any, bool) {
+func (c *CountingOracle) tryBeginAdd(ctx context.Context, set []int, workers int) (any, bool) {
 	io, ok := c.inner.(IncrementalOracle)
 	if !ok {
 		return nil, false
 	}
-	st := io.BeginAdd(set)
+	st := beginAddOn(ctx, io, set, workers)
 	if st == nil {
 		return nil, false
 	}

@@ -152,7 +152,7 @@ func LazyGreedy(f Oracle, n int, opts ...Option) Result {
 	// Initial bounds: one full singleton sweep — exactly Greedy's first
 	// round, so the heap starts from the same values Greedy scans — built
 	// shard-concurrently with no global scratch arrays or serial heapify.
-	probe := beginAdds(co, set)
+	probe := ev.beginAdds(co, set)
 	h := buildShardHeap(ev, n, cur, func(x int) (float64, bool) {
 		cand := with(set, x)
 		if !co.Feasible(cand) {
@@ -205,7 +205,7 @@ func LazyGreedy(f Oracle, n int, opts ...Option) Result {
 				specWasted.Add(int64(specPending - 1))
 				specPending = 0
 			}
-			probe = beginAdds(co, set)
+			probe = ev.beginAdds(co, set)
 			continue
 		}
 		if ev.spec < 2 {
@@ -290,7 +290,7 @@ func BudgetedGreedy(f Oracle, n int, cost func(int) float64, opts ...Option) Res
 	vals := make([]float64, n)
 	ok := make([]bool, n)
 	for {
-		probe := beginAdds(co, set)
+		probe := ev.beginAdds(co, set)
 		ev.sweep(n, func(x int) {
 			ok[x] = false
 			if taken[x] {

@@ -132,9 +132,10 @@ type addProber struct {
 	incr  bool
 }
 
-// beginAdds caches add-probe state for the current set.
-func beginAdds(co *CountingOracle, set []int) addProber {
-	state, incr := co.tryBeginAdd(set)
+// beginAdds caches add-probe state for the current set; its first probe
+// fills the state's caches with the run's workers and context.
+func (e evaluator) beginAdds(co *CountingOracle, set []int) addProber {
+	state, incr := co.tryBeginAdd(e.ctx, set, e.workers)
 	return addProber{co: co, state: state, incr: incr}
 }
 
@@ -169,7 +170,7 @@ func Greedy(f Oracle, n int, opts ...Option) Result {
 	vals := make([]float64, n)
 	ok := make([]bool, n)
 	for {
-		probe := beginAdds(co, set)
+		probe := ev.beginAdds(co, set)
 		ev.sweep(n, func(x int) {
 			ok[x] = false
 			if member.Contains(x) {
@@ -247,7 +248,7 @@ func MaxSub(f Oracle, n int, eps float64, opts ...Option) Result {
 		// the reduction scans them in ascending order, so the sampled path
 		// keeps the deterministic lowest-index tie resolution.
 		addIdx := ev.sampleIdx(n)
-		probe := beginAdds(co, set)
+		probe := ev.beginAdds(co, set)
 		ev.sweepOn(n, addIdx, func(x int) {
 			ok[x] = false
 			if member.Contains(x) {
@@ -332,7 +333,7 @@ func MaxSub(f Oracle, n int, eps float64, opts ...Option) Result {
 func bestSingleton(co *CountingOracle, n int, ev evaluator) ([]int, float64) {
 	vals := make([]float64, n)
 	ok := make([]bool, n)
-	probe := beginAdds(co, nil)
+	probe := ev.beginAdds(co, nil)
 	ev.sweep(n, func(x int) {
 		ok[x] = false
 		cand := []int{x}
@@ -391,7 +392,7 @@ func MatroidLocalSearch(f Oracle, ground []int, ms []matroid.Matroid, eps float6
 	vals := make([]float64, g)
 	ok := make([]bool, g)
 	cands := make([][]int, g)
-	probe := beginAdds(co, nil)
+	probe := ev.beginAdds(co, nil)
 	ev.sweep(g, func(i int) {
 		ok[i] = false
 		cand := []int{ground[i]}
@@ -593,7 +594,7 @@ func graspConstruct(co *CountingOracle, n, kappa int, rng *stats.RNG, ev evaluat
 	}
 	var cands []cand
 	for {
-		probe := beginAdds(co, set)
+		probe := ev.beginAdds(co, set)
 		ev.sweep(n, func(x int) {
 			ok[x] = false
 			if member.Contains(x) {
@@ -682,14 +683,14 @@ func hillClimb(co *CountingOracle, n int, set []int, cur float64, ev evaluator) 
 		// target, turning the |set|·(n−|set|) swap evaluations incremental.
 		dropProbes = dropProbes[:0]
 		for i := range bases {
-			dropProbes = append(dropProbes, beginAdds(co, bases[i]))
+			dropProbes = append(dropProbes, ev.beginAdds(co, bases[i]))
 		}
 
 		m := len(moves)
 		vals = grow(vals, m)
 		ok = grow(ok, m)
 		cands = grow(cands, m)
-		probe := beginAdds(co, set)
+		probe := ev.beginAdds(co, set)
 		ev.sweep(m, func(k int) {
 			ok[k] = false
 			w := moves[k]

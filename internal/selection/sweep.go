@@ -57,13 +57,14 @@ type Option func(*Options)
 // are.
 func Parallel(workers int) Option {
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if n := runtime.NumCPU(); n < workers {
-			workers = n
-		}
+		workers = Cores()
 	}
 	return func(o *Options) { o.Workers = workers }
 }
+
+// Cores is the default sweep fan-out: the smaller of GOMAXPROCS and the
+// machine's CPU count (see Parallel).
+func Cores() int { return min(runtime.GOMAXPROCS(0), runtime.NumCPU()) }
 
 // Context makes the run cancelable: when ctx is canceled the algorithm
 // abandons the sweep in flight, discards that sweep's partial results, and

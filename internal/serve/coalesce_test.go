@@ -101,6 +101,9 @@ func TestCoalescerZeroWindow(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	// Read the follower count before any follower can join, or one that
+	// joins first is never seen and the wait below never ends.
+	f0 := obs.Active().Counter("test.coalesce.zero.followers").Value()
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func() {
@@ -114,7 +117,6 @@ func TestCoalescerZeroWindow(t *testing.T) {
 			}
 		}()
 	}
-	f0 := obs.Active().Counter("test.coalesce.zero.followers").Value()
 	for obs.Active().Counter("test.coalesce.zero.followers").Value()-f0 < 4 {
 		time.Sleep(time.Millisecond)
 	}
@@ -183,7 +185,7 @@ func TestCoalescerDistinctKeys(t *testing.T) {
 // TestCoalescedByteIdentical pins the tentpole exactness contract end to
 // end: concurrent identical requests through a server with a generous batch
 // window produce responses byte-identical to an uncoalesced server —
-// select and quality, at mixed worker counts.
+// select and quality.
 func TestCoalescedByteIdentical(t *testing.T) {
 	plain := newServer(t, Config{CoalesceWindow: -1, MaxInflight: 64}) // pure dedupe, no hold
 	defer plain.Close()
@@ -192,7 +194,7 @@ func TestCoalescedByteIdentical(t *testing.T) {
 
 	cases := []struct{ path, body string }{
 		{"/v1/select", `{"algorithm":"greedy","future":4}`},
-		{"/v1/select", `{"algorithm":"greedy","future":4,"workers":4}`},
+		{"/v1/select", `{"algorithm":"maxsub","future":4}`},
 		{"/v1/quality", `{"set":[0,2,5],"ticks":[150,200]}`},
 	}
 	for _, tc := range cases {

@@ -13,6 +13,7 @@ import (
 	"freshsource/internal/core"
 	"freshsource/internal/dataset"
 	"freshsource/internal/obs"
+	"freshsource/internal/selection"
 	"freshsource/internal/timeline"
 	"freshsource/internal/version"
 )
@@ -29,7 +30,6 @@ type SelectRequest struct {
 	Kappa     int     `json:"kappa,omitempty"`     // GRASP κ
 	Rounds    int     `json:"rounds,omitempty"`    // GRASP r
 	Seed      int64   `json:"seed,omitempty"`      // GRASP seed
-	Workers   int     `json:"workers,omitempty"`   // sweep workers; 0 sequential, -1 all cores
 	Cache     bool    `json:"cache,omitempty"`     // memoize oracle evaluations
 	Lazy      bool    `json:"lazy,omitempty"`      // CELF path for greedy
 	Future    int     `json:"future,omitempty"`    // |Tf| when Ticks is empty
@@ -187,10 +187,8 @@ func (req SelectRequest) withDefaults(defaultFuture int) SelectRequest {
 
 // resolveTicks turns a request's explicit Tf or future count into validated
 // ticks inside the evaluation window (T0, Horizon) of the generation's
-// snapshot. A future count may not exceed the window's horizon−1−T0 ticks:
-// SpreadTicks would repeat ticks down to T0 itself, and the count sizes an
-// allocation, so a small body must not buy an unbounded one. An omitted
-// count takes the configured default, capped at the window.
+// snapshot. A future count is checked by FutureTicks; an omitted count
+// takes the configured default, capped at the window.
 func (s *Server) resolveTicks(d *dataset.Dataset, explicit []int64, future int) ([]timeline.Tick, error) {
 	if len(explicit) > 0 {
 		out := make([]timeline.Tick, len(explicit))
@@ -204,15 +202,10 @@ func (s *Server) resolveTicks(d *dataset.Dataset, explicit []int64, future int) 
 		}
 		return out, nil
 	}
-	span := int(d.Horizon() - 1 - d.T0)
 	if future <= 0 {
-		future = min(s.cfg.DefaultFuture, span)
+		future = min(s.cfg.DefaultFuture, int(d.Horizon()-1-d.T0))
 	}
-	if future > span {
-		return nil, fmt.Errorf("future %d exceeds the %d ticks of the evaluation window (%d, %d]",
-			future, span, d.T0, d.Horizon()-1)
-	}
-	return SpreadTicks(d.T0, d.Horizon(), future), nil
+	return FutureTicks(d.T0, d.Horizon(), future)
 }
 
 func validDivisors(divs []int) error {
@@ -323,9 +316,14 @@ func (s *Server) computeSelect(gen *generation, req SelectRequest, ticks []timel
 	if err != nil {
 		return solveErrorBody(err)
 	}
+	// Every select sweeps on all of the host's cores; concurrent solves
+	// share them through the Go scheduler. The sweep is deterministic, so
+	// the count changes how fast a body is computed, never its bytes. CELF
+	// speculation stays off: its extra probes would make oracle_calls, and
+	// so the body, depend on the worker count.
 	sel, err := prob.SolveContext(ctx, core.Algorithm(req.Algorithm), core.SolveOptions{
 		Kappa: req.Kappa, Rounds: req.Rounds, Seed: req.Seed,
-		Workers: req.Workers, Cache: req.Cache, Lazy: req.Lazy,
+		Workers: selection.Cores(), SpecStride: -1, Cache: req.Cache, Lazy: req.Lazy,
 	})
 	if err != nil {
 		return solveErrorBody(err)

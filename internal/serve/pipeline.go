@@ -52,6 +52,24 @@ func SpreadTicks(t0, horizon timeline.Tick, n int) []timeline.Tick {
 	return out
 }
 
+// FutureTicks is SpreadTicks behind the window check /v1/select,
+// /v1/quality and freshselect share: future must lie in 1 … horizon−1−t0,
+// the ticks of the evaluation window (t0, horizon−1]. Past the window
+// SpreadTicks would repeat ticks down to t0 itself, and the count sizes an
+// allocation, so a small request must not buy an unbounded one; at 0 there
+// is no tick to evaluate.
+func FutureTicks(t0, horizon timeline.Tick, future int) ([]timeline.Tick, error) {
+	span := int(horizon - 1 - t0)
+	if future < 1 {
+		return nil, fmt.Errorf("future %d must be at least 1", future)
+	}
+	if future > span {
+		return nil, fmt.Errorf("future %d exceeds the %d ticks of the evaluation window (%d, %d]",
+			future, span, t0, horizon-1)
+	}
+	return SpreadTicks(t0, horizon, future), nil
+}
+
 // ParseMetric resolves a metric name ("coverage", "local-freshness",
 // "global-freshness", "accuracy").
 func ParseMetric(name string) (gain.Metric, error) {

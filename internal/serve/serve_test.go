@@ -262,6 +262,7 @@ func TestBadRequests(t *testing.T) {
 	}{
 		{"bad json", "/v1/select", `{"algorithm":`, http.StatusBadRequest},
 		{"unknown field", "/v1/select", `{"algoritm":"maxsub"}`, http.StatusBadRequest},
+		{"workers is the server's choice", "/v1/select", `{"workers":4}`, http.StatusBadRequest},
 		{"unknown algorithm", "/v1/select", `{"algorithm":"simplex"}`, http.StatusBadRequest},
 		{"unknown gain", "/v1/select", `{"gain":"cubic"}`, http.StatusBadRequest},
 		{"unknown metric", "/v1/select", `{"metric":"novelty"}`, http.StatusBadRequest},
@@ -321,6 +322,40 @@ func TestFutureBoundedByWindow(t *testing.T) {
 		if tk <= int64(d.T0) || tk >= int64(d.Horizon()) || (i > 0 && tk <= q.Ticks[i-1]) {
 			t.Fatalf("quality future=%d: tick %d = %d not strictly increasing inside (%d, %d)", span, i, tk, d.T0, d.Horizon())
 		}
+	}
+}
+
+// TestFutureTicksWindow: the window check freshselect shares with the
+// endpoints rejects a count below one or past the window — with the message
+// /v1/select answers as a 400 — and spreads a count equal to the window
+// over every tick of it.
+func TestFutureTicksWindow(t *testing.T) {
+	d := testDataset(t)
+	span := int(d.Horizon() - 1 - d.T0)
+	for _, future := range []int{-1, 0, span + 1} {
+		if _, err := FutureTicks(d.T0, d.Horizon(), future); err == nil || !strings.Contains(err.Error(), "future") {
+			t.Errorf("future=%d: err = %v, want an error naming future", future, err)
+		}
+	}
+	_, err := FutureTicks(d.T0, d.Horizon(), span+1)
+	srv := newServer(t, Config{})
+	rec := postJSON(t, srv.Handler(), "/v1/select", fmt.Sprintf(`{"future":%d}`, span+1))
+	var body errorResponse
+	if jerr := json.Unmarshal(rec.Body.Bytes(), &body); jerr != nil || rec.Code != http.StatusBadRequest || body.Error != err.Error() {
+		t.Errorf("select future=%d: %d %s, want 400 %q", span+1, rec.Code, rec.Body.String(), err)
+	}
+
+	ts, err := FutureTicks(d.T0, d.Horizon(), span)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tk := range ts {
+		if tk != d.T0+timeline.Tick(i+1) {
+			t.Fatalf("future=%d: tick %d = %d, want every tick of (%d, %d] once", span, i, tk, d.T0, d.Horizon()-1)
+		}
+	}
+	if len(ts) != span {
+		t.Fatalf("future=%d: %d ticks", span, len(ts))
 	}
 }
 
